@@ -135,9 +135,7 @@ def gap_histogram(index: QIndex, limit: int) -> dict[int, int]:
         raise CapacityError(
             f"limit {limit} exceeds the index limit {index.limit}", required=limit
         )
-    sps = index.elements[1:]
-    sps = sps[sps <= limit]
-    if sps.size < 2:
-        return {}
-    gaps, counts = np.unique(np.diff(sps), return_counts=True)
-    return {int(g): int(c) for g, c in zip(gaps, counts)}
+    # gaps[0] leads from 1 to the first SP; SP gaps are gaps[1 : m - 1].
+    m = int(np.searchsorted(index.elements, limit, side="right"))
+    counts = np.bincount(index.gaps[1 : max(m - 1, 1)])
+    return {int(g): int(counts[g]) for g in np.flatnonzero(counts)}

@@ -76,7 +76,8 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--format", choices=("json", "csv", "plain"),
                    default=argparse.SUPPRESS, help="output format (default json)")
     g.add_argument("--threads", type=int, default=argparse.SUPPRESS, metavar="N",
-                   help="worker threads for range scans and sieve builds")
+                   help="worker threads for the sieve build (range scans "
+                        "run in one pass)")
     g.add_argument("-v", "--verbose", action="count", default=argparse.SUPPRESS,
                    help="diagnostics on stderr; repeat for more")
 
@@ -173,7 +174,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="lo", type=int, help="scan start (lemma3)")
     p.add_argument("--to", dest="hi", type=int, help="scan end (lemma3)")
     p.add_argument("--t-max", type=int, help="largest t checked (lemma4)")
-    p.add_argument("--q-max", type=int, help="largest q checked (theorem1)")
+    p.add_argument("--q-max", type=int,
+                   help="largest q checked (theorem1; default 100, capped at "
+                        "the widest gap)")
     p.add_argument("--max", type=int, help="largest twin member (theorem4)")
 
     return parser
@@ -420,8 +423,7 @@ def _cmd_triples(cfg: CliConfig, args) -> int:
 
 def _cmd_bertrand(cfg: CliConfig, args) -> int:
     index = QIndex.from_sieve(_load_or_build(cfg))
-    failures = theorems.scan_bertrand(index, args.lo, args.hi,
-                                      threads=cfg.threads)
+    failures = theorems.scan_bertrand(index, args.lo, args.hi)
     real = [n for n in failures if n >= 5]
     payload = {"from": args.lo, "to": args.hi, "failures": failures,
                "failures_from_5": real}
@@ -559,7 +561,7 @@ def _suite_theorem2(cfg, args, sieve, index):
 def _suite_lemma3(cfg, args, sieve, index):
     lo = args.lo if args.lo is not None else 1
     hi = args.hi if args.hi is not None else min(10**6, cfg.limit // 2)
-    failures = theorems.scan_bertrand(index, lo, hi, threads=cfg.threads)
+    failures = theorems.scan_bertrand(index, lo, hi)
     real = [n for n in failures if n >= 5]
     small = [n for n in failures if n < 5]
     checks = [_check(
@@ -572,7 +574,7 @@ def _suite_lemma3(cfg, args, sieve, index):
 
 def _suite_lemma4(cfg, args, sieve, index):
     t_max = args.t_max if args.t_max is not None else min(10**6, cfg.limit // 2)
-    violation = theorems.check_adjacency(index, t_max, threads=cfg.threads)
+    violation = theorems.check_adjacency(index, t_max)
     checks = [_check(
         "adjacency", violation is None,
         f"t <= {t_max}: "
@@ -581,9 +583,24 @@ def _suite_lemma4(cfg, args, sieve, index):
 
 
 def _suite_theorem1(cfg, args, sieve, index):
-    q_max = args.q_max if args.q_max is not None else 100
-    qs = [int(q) for q in index.elements[index.elements <= q_max]]
     checks = []
+    q_max = args.q_max
+    if q_max is None:
+        # fixed_point(q) needs a gap of width q, so the default stops at
+        # the widest gap; an explicit --q-max past it is a capacity error.
+        w = index.widest_gap()
+        widest = int(index.gaps[w])
+        q_max = min(100, widest)
+        e = index.elements
+        left_out = e[(e > q_max) & (e <= 100)]
+        if left_out.size:
+            checks.append(_check(
+                "default_q_max", True,
+                f"--q-max capped at the widest gap {widest} "
+                f"({int(e[w])} -> {int(e[w + 1])}): members "
+                f"{', '.join(str(int(q)) for q in left_out)} have no fixed "
+                f"point above them below limit {index.limit}"))
+    qs = [int(q) for q in index.elements[index.elements <= q_max]]
     for q in qs:
         a = fixed_point(index, q)
         checks.append(_check(
@@ -628,12 +645,9 @@ SUITES = {
     "theorem4": _suite_theorem4,
 }
 
-SUITE_ORDER = ["axioms", "lemma1", "lemma2", "lemma3", "lemma4",
-               "theorem1", "theorem2", "theorem3", "theorem4"]
-
 
 def _cmd_verify(cfg: CliConfig, args) -> int:
-    names = SUITE_ORDER if args.suite == "all" else [args.suite]
+    names = list(SUITES) if args.suite == "all" else [args.suite]
     sieve = _load_or_build(cfg)
     index = QIndex.from_sieve(sieve)
     suites_out = []

@@ -45,8 +45,8 @@ class ValidationError(SploopError):
 class ChainBrokenError(SploopError):
     """Two consecutive pair-products in a chain disagree.
 
-    ``position`` is the index of the first offending pair and ``pair`` the
-    two unequal product values.
+    ``position`` is the index of the first offending pair and ``pair`` its
+    two operand terms, whose product differs from the first pair's.
     """
 
     def __init__(self, message: str, position: int, pair: tuple[int, int]):

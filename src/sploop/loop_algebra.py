@@ -122,17 +122,16 @@ def fixed_point(index: QIndex, q: int) -> int:
     _check_member(index, q, "q")
     if q == 1:
         return 1
-    gaps = np.diff(index.elements)
-    hits = np.flatnonzero(gaps >= q)
-    if hits.size == 0:
-        widest = int(gaps.argmax())
+    i = index.first_gap_at_least(q)
+    if i is None:
+        w = index.widest_gap()
         raise CapacityError(
             f"no SP-free gap of width {q} below limit {index.limit}; the "
-            f"widest spans {int(gaps[widest])} "
-            f"({int(index.elements[widest])} -> {int(index.elements[widest + 1])}); "
+            f"widest spans {int(index.gaps[w])} "
+            f"({int(index.elements[w])} -> {int(index.elements[w + 1])}); "
             f"a larger limit may hold one",
         )
-    a = int(index.elements[int(hits[0]) + 1])
+    a = int(index.elements[i + 1])
     if lop(index, a, q) != a:
         raise SploopError(f"internal inconsistency: {a} • {q} != {a}")
     return a

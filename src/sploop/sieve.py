@@ -9,7 +9,8 @@ several threads with disjoint writes.
 
 Memory cost: the in-memory flag array spends one byte per number in
 [0, limit] (numpy bool), plus one 8-byte prefix count per 4096 numbers and
-8 bytes per SP for the sorted index. The cache file stores one bit per
+8 bytes per SP for the sorted index, and 8 more per SP for its gaps once a
+gap question is asked. The cache file stores one bit per
 number. A 10**8 build therefore needs roughly 130 MB resident and 12.5 MB
 on disk.
 """
@@ -211,13 +212,51 @@ def build_sieve(
 
 
 class QIndex:
-    """Sorted members of Q (1 followed by every SP <= limit) with order queries."""
+    """Sorted members of Q (1 followed by every SP <= limit) with order queries.
 
-    __slots__ = ("limit", "elements")
+    ``gaps`` and the record gaps behind ``first_gap_at_least`` are computed
+    on first use and kept: a caller that never asks a gap question never
+    pays their memory (8 bytes per element).
+    """
+
+    __slots__ = ("limit", "elements", "_gaps", "_records")
 
     def __init__(self, limit: int, elements: np.ndarray):
         self.limit = limit
         self.elements = elements
+        self._gaps = None
+        self._records = None
+
+    @property
+    def gaps(self) -> np.ndarray:
+        """``np.diff(elements)``: gaps[i] = elements[i+1] - elements[i]."""
+        if self._gaps is None:
+            self._gaps = np.diff(self.elements)
+        return self._gaps
+
+    def _record_gaps(self) -> tuple[np.ndarray, np.ndarray]:
+        """Positions where the running maximum of ``gaps`` rises, and the
+        gaps there, which strictly increase. The first i with gaps[i] >= w
+        is always one of these positions."""
+        if self._records is None:
+            gaps = self.gaps
+            running = np.maximum.accumulate(gaps)
+            rising = np.ones(gaps.size, dtype=bool)
+            np.greater(running[1:], running[:-1], out=rising[1:])
+            where = np.flatnonzero(rising)
+            self._records = (where, gaps[where])
+        return self._records
+
+    def first_gap_at_least(self, w: int) -> int | None:
+        """Least i with gaps[i] >= w, or None when no gap is that wide."""
+        where, widths = self._record_gaps()
+        k = int(np.searchsorted(widths, w))
+        return int(where[k]) if k < where.size else None
+
+    def widest_gap(self) -> int | None:
+        """Least i where gaps[i] is largest, or None when there are no gaps."""
+        where, _ = self._record_gaps()
+        return int(where[-1]) if where.size else None
 
     @classmethod
     def from_sieve(cls, sieve: SpSieve) -> "QIndex":

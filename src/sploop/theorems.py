@@ -7,12 +7,18 @@ progressions, the search for equal-product triples, the doubling
 property (an SP strictly between n and 2n), successor adjacency, and the
 twin-shift adjacency property. Scans either return the first
 counterexample or report absence over the whole range.
+
+The range scans answer from the index's gap array instead of testing one
+integer at a time. N(n) is constant on each [e_i, e_{i+1}) of consecutive
+members, so the doubling property fails there exactly for the n with
+e_{i+1} >= 2n; N(t) and N(t+1) can only be further apart than one step of
+Q where t + 1 is listed twice (a gap of 0); and the twin shift is
+adjacency at t = a - x. Gap runs and gap pairs read the gaps directly.
+``tests/_oracles.py`` keeps the per-integer scans these replace.
 """
 
 from __future__ import annotations
 
-import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +36,6 @@ from .loop_algebra import lop
 from .sieve import QIndex
 
 TRIPLE_RANK_BUDGET = 2000
-_SCAN_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -64,25 +69,32 @@ class SpAp:
 
 
 def find_gap_run(index: QIndex, n: int) -> GapRun:
-    """First maximal SP-free run of length at least n, with its full length."""
+    """First maximal SP-free run of length at least n, with its full length.
+
+    The run before the first SP number starts at 1; every later run lies
+    strictly between two consecutive SP numbers, so it is one gap less one.
+    """
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
-    sps = index.elements[1:]
-    if sps.size == 0:
+    elements = index.elements
+    if len(elements) < 2:
         raise CapacityError(f"no SP numbers below limit {index.limit}")
-    first = int(sps[0])
-    if n <= first - 1:
-        return GapRun(start=1, length=first - 1)
-    lengths = np.diff(sps) - 1
-    hits = np.flatnonzero(lengths >= n)
-    if hits.size == 0:
+    first = GapRun(start=1, length=int(elements[1]) - 1)
+    if n <= first.length:
+        return first
+    # Past the first run, gaps[0] = elements[1] - 1 < n + 1, so i >= 1.
+    i = index.first_gap_at_least(n + 1)
+    if i is None:
+        w = index.widest_gap()
+        longest = GapRun(start=int(elements[w]) + 1, length=int(index.gaps[w]) - 1)
+        if longest.length <= first.length:
+            longest = first
         raise CapacityError(
-            f"no SP-free run of length {n} below limit {index.limit}; "
-            f"rebuild with a larger limit",
-            required=2 * index.limit,
+            f"no SP-free run of length {n} below limit {index.limit}; the "
+            f"longest is {longest.length} non-SP numbers from {longest.start}; "
+            f"a larger limit may hold one",
         )
-    j = int(hits[0])
-    return GapRun(start=int(sps[j]) + 1, length=int(lengths[j]))
+    return GapRun(start=int(elements[i]) + 1, length=int(index.gaps[i]) - 1)
 
 
 def gap_pairs(index: QIndex, g: int, limit: int) -> list[SpPair]:
@@ -93,14 +105,12 @@ def gap_pairs(index: QIndex, g: int, limit: int) -> list[SpPair]:
         raise CapacityError(
             f"limit {limit} exceeds the index limit {index.limit}", required=limit
         )
-    sps = index.elements[1:]
-    if sps.size < 2:
-        return []
-    diffs = np.diff(sps)
-    mask = (diffs == g) & (sps[1:] <= limit)
+    elements = index.elements
+    # gaps[0] leads from 1 to the first SP; pairs are gaps[1 : m - 1].
+    m = int(np.searchsorted(elements, limit, side="right"))
+    hits = 1 + np.flatnonzero(index.gaps[1 : max(m - 1, 1)] == g)
     return [
-        SpPair(lo=int(sps[j]), hi=int(sps[j + 1]), gap=g)
-        for j in np.flatnonzero(mask)
+        SpPair(lo=int(elements[j]), hi=int(elements[j + 1]), gap=g) for j in hits
     ]
 
 
@@ -243,21 +253,16 @@ def search_equal_triple(index: QIndex, r: int) -> tuple[int, int, int] | None:
     return None
 
 
-def _bertrand_chunk(index: QIndex, lo: int, hi: int) -> list[int]:
-    ns = np.arange(lo, hi + 1, dtype=np.int64)
-    idx = np.searchsorted(index.elements, ns, side="right")
-    succ = index.elements[np.minimum(idx, len(index.elements) - 1)]
-    bad = (idx >= len(index.elements)) | (succ >= 2 * ns)
-    return [int(n) for n in ns[bad]]
-
-
 def scan_bertrand(
     index: QIndex, lo: int, hi: int, *, threads: int = 1
 ) -> list[int]:
     """All n in [lo, hi] whose open interval (n, 2n) contains no SP number.
 
     The check is successor(n) < 2n. The interval is open on both ends, so
-    n = 4 fails even though 8 = 2n is SP.
+    n = 4 fails even though 8 = 2n is SP. For n in [e_i, e_{i+1}) the
+    successor is e_{i+1}, so n fails exactly when n <= e_{i+1} // 2, and
+    only a gap at least e_i wide leaves such an n. ``threads`` is accepted
+    and ignored: the scan is one pass over the gaps.
     """
     if lo < 1:
         raise DomainError(f"need lo >= 1, got {lo}")
@@ -269,27 +274,31 @@ def scan_bertrand(
             f"{index.limit}; rebuild with limit >= {2 * hi}",
             required=2 * hi,
         )
-    bounds = list(range(lo, hi + 1, _SCAN_CHUNK))
-    chunks = [(a, min(a + _SCAN_CHUNK - 1, hi)) for a in bounds]
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda c: _bertrand_chunk(index, *c), chunks))
-    else:
-        parts = [_bertrand_chunk(index, a, b) for a, b in chunks]
-    return sorted(n for part in parts for n in part)
+    elements = index.elements
+    failures: list[int] = []
+    m = min(int(np.searchsorted(elements, hi, side="right")), len(index.gaps))
+    for i in np.flatnonzero(index.gaps[:m] >= elements[:m]):
+        nxt = int(elements[i + 1])
+        a, b = max(int(elements[i]), lo), min(nxt - 1, nxt // 2, hi)
+        failures.extend(range(a, b + 1))
+    # Past the largest element there is no successor at all.
+    failures.extend(range(max(index.max_element, lo), hi + 1))
+    return failures
 
 
-def _adjacency_chunk(index: QIndex, lo: int, hi: int) -> int | None:
-    ts = np.arange(lo, hi + 1, dtype=np.int64)
-    i1 = np.searchsorted(index.elements, ts, side="right")
-    i2 = np.searchsorted(index.elements, ts + 1, side="right")
-    bad = np.flatnonzero(i2 - i1 > 1)
-    return int(ts[bad[0]]) if bad.size else None
+def _repeated_values(index: QIndex) -> np.ndarray:
+    """Values listed more than once in the index, ascending, each once."""
+    return np.unique(index.elements[:-1][index.gaps == 0])
 
 
 def check_adjacency(index: QIndex, t_max: int, *, threads: int = 1) -> int | None:
     """First t <= t_max where N(t) and N(t+1) are neither equal nor
     consecutive in Q, or None when every t passes.
+
+    At most one integer, t + 1, lies in (t, t+1], so the two successors are
+    more than one step of Q apart only where t + 1 is listed twice: the
+    answer is the least repeated value, less one. ``threads`` is accepted
+    and ignored.
     """
     if t_max < 0:
         raise DomainError(f"need t_max >= 0, got {t_max}")
@@ -299,15 +308,9 @@ def check_adjacency(index: QIndex, t_max: int, *, threads: int = 1) -> int | Non
             f"largest indexed element is {index.max_element}",
             required=2 * (t_max + 1),
         )
-    bounds = list(range(0, t_max + 1, _SCAN_CHUNK))
-    chunks = [(a, min(a + _SCAN_CHUNK - 1, t_max)) for a in bounds]
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda c: _adjacency_chunk(index, *c), chunks))
-    else:
-        parts = [_adjacency_chunk(index, a, b) for a, b in chunks]
-    hits = [t for t in parts if t is not None]
-    return min(hits) if hits else None
+    ts = _repeated_values(index) - 1
+    ts = ts[(ts >= 0) & (ts <= t_max)]
+    return int(ts[0]) if ts.size else None
 
 
 def check_twin_shift(
@@ -316,20 +319,25 @@ def check_twin_shift(
     """Probe every twin pair (a, a+1) with a+1 <= limit against every
     x in Q below a: the two products a • x and (a+1) • x must be equal or
     consecutive in Q. Returns the first violating (a, x, a • x) or None.
+
+    a • x = N(a - x) and (a+1) • x = N(a - x + 1), so this is adjacency at
+    t = a - x: x fails exactly when v = a + 1 - x is listed twice, and then
+    a • x = N(v - 1) = v. For each twin the least such x in Q comes from the
+    largest repeated value.
     """
     if limit > index.limit:
         raise CapacityError(
             f"limit {limit} exceeds the index limit {index.limit}", required=limit
         )
-    elements = index.elements
+    repeated = _repeated_values(index)
+    if repeated.size == 0:
+        return None
     for twin in gap_pairs(index, 1, limit):
         a = twin.lo
-        xs = elements[: int(np.searchsorted(elements, a))]
-        ts = a - xs
-        i1 = np.searchsorted(elements, ts, side="right")
-        i2 = np.searchsorted(elements, ts + 1, side="right")
-        bad = np.flatnonzero(i2 - i1 > 1)
-        if bad.size:
-            x = int(xs[bad[0]])
-            return a, x, int(elements[i1[bad[0]]])
+        for v in repeated[::-1].tolist():
+            x = a + 1 - v
+            if x >= a:
+                break
+            if index.contains(x):
+                return a, x, v
     return None

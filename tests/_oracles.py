@@ -84,3 +84,85 @@ def digit1_constant_slow(terms: int = 10**7) -> float:
         for a in (0.1, 0.9, 0.3, 0.7):
             total += float(np.sum((m + a) ** -2.0))
     return (total - 4.0) / 400.0
+
+
+# -- per-integer range scans ----------------------------------------------
+#
+# Each takes the sorted member array of an index (1 first) and tests one
+# integer, or one (twin, x) probe, at a time with searchsorted. The
+# package answers the same questions from the gaps between members.
+
+
+def bertrand_failures_slow(elements: np.ndarray, lo: int, hi: int) -> list[int]:
+    """Every n in [lo, hi] with no member in (n, 2n)."""
+    ns = np.arange(lo, hi + 1, dtype=np.int64)
+    idx = np.searchsorted(elements, ns, side="right")
+    succ = elements[np.minimum(idx, len(elements) - 1)]
+    bad = (idx >= len(elements)) | (succ >= 2 * ns)
+    return [int(n) for n in ns[bad]]
+
+
+def adjacency_violation_slow(elements: np.ndarray, t_max: int) -> int | None:
+    """First t <= t_max whose successors N(t), N(t+1) are more than one
+    position apart in the member array."""
+    ts = np.arange(0, t_max + 1, dtype=np.int64)
+    i1 = np.searchsorted(elements, ts, side="right")
+    i2 = np.searchsorted(elements, ts + 1, side="right")
+    bad = np.flatnonzero(i2 - i1 > 1)
+    return int(ts[bad[0]]) if bad.size else None
+
+
+def gap_pairs_slow(elements: np.ndarray, g: int, limit: int) -> list[tuple[int, int]]:
+    """Consecutive SP pairs (lo, hi) with hi - lo = g and hi <= limit."""
+    sps = elements[1:]
+    if sps.size < 2:
+        return []
+    mask = (np.diff(sps) == g) & (sps[1:] <= limit)
+    return [(int(sps[j]), int(sps[j + 1])) for j in np.flatnonzero(mask)]
+
+
+def twin_shift_violation_slow(
+    elements: np.ndarray, limit: int
+) -> tuple[int, int, int] | None:
+    """First twin (a, a+1), a+1 <= limit, and member x < a whose
+    successors of a - x and a - x + 1 are more than one position apart,
+    as (a, x, N(a - x))."""
+    for a, _ in gap_pairs_slow(elements, 1, limit):
+        xs = elements[: int(np.searchsorted(elements, a))]
+        ts = a - xs
+        i1 = np.searchsorted(elements, ts, side="right")
+        i2 = np.searchsorted(elements, ts + 1, side="right")
+        bad = np.flatnonzero(i2 - i1 > 1)
+        if bad.size:
+            return a, int(xs[bad[0]]), int(elements[i1[bad[0]]])
+    return None
+
+
+def gap_run_slow(elements: np.ndarray, n: int) -> tuple[int, int] | None:
+    """(start, length) of the first maximal run of at least n non-SP
+    numbers between 1 and the last SP, or None."""
+    sps = elements[1:]
+    if n <= int(sps[0]) - 1:
+        return 1, int(sps[0]) - 1
+    lengths = np.diff(sps) - 1
+    hits = np.flatnonzero(lengths >= n)
+    if hits.size == 0:
+        return None
+    return int(sps[hits[0]]) + 1, int(lengths[hits[0]])
+
+
+def fixed_point_slow(elements: np.ndarray, q: int) -> int | None:
+    """Least member a > q whose gap to the member below is at least q
+    (so that a • q = a), for q > 1, or None."""
+    hits = np.flatnonzero(np.diff(elements) >= q)
+    return int(elements[hits[0] + 1]) if hits.size else None
+
+
+def gap_histogram_slow(elements: np.ndarray, limit: int) -> dict[int, int]:
+    """Counts of the gaps between consecutive SP numbers <= limit."""
+    sps = elements[1:]
+    sps = sps[sps <= limit]
+    if sps.size < 2:
+        return {}
+    gaps, counts = np.unique(np.diff(sps), return_counts=True)
+    return {int(g): int(c) for g, c in zip(gaps, counts)}

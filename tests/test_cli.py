@@ -95,6 +95,12 @@ class TestQueries:
         assert code == 0
         assert (payload["start"], payload["length"]) == (33, 11)
 
+    def test_gap_run_capacity(self):
+        code, _, err = run("gap-run", "40", "--limit", "1000")
+        assert code == 3
+        # the longest run below 1000 is named; no limit is known to hold 40
+        assert "26 non-SP numbers from 802" in err and "--limit" not in err
+
     def test_pairs(self):
         code, payload = run_json("pairs", "--gap", "1", "--max", "117",
                                  "--limit", "1000")
@@ -304,6 +310,26 @@ class TestVerifySuites:
         code, payload = run_json("verify", "--suite", "theorem1",
                                  "--limit", "1000000", "--q-max", "50")
         assert code == 0
+
+    def test_all_at_small_limit(self):
+        # the widest gap below 1e4 spans 51, so theorem1's default q-max of
+        # 100 is capped there and the members above it are named
+        code, payload = run_json("verify", "--suite", "all", "--limit", "10000")
+        assert code == 1
+        failing = [s["suite"] for s in payload["suites"] if not s["ok"]]
+        assert failing == ["theorem3"]
+        theorem1 = next(s for s in payload["suites"] if s["suite"] == "theorem1")
+        note = theorem1["checks"][0]
+        assert note["name"] == "default_q_max" and note["ok"]
+        assert "widest gap 51" in note["detail"]
+        assert "52, 63, 68, 72, 75, 76, 80, 92, 98, 99 have" in note["detail"]
+        assert theorem1["checks"][-1]["name"] == "fixed_point_50"
+
+    def test_theorem1_explicit_q_max_past_widest_gap(self):
+        code, _, err = run("verify", "--suite", "theorem1", "--limit",
+                           "10000", "--q-max", "52")
+        assert code == 3
+        assert "width 52" in err
 
     def test_theorem3_reports_the_counterexample(self):
         code, payload = run_json("verify", "--suite", "theorem3",

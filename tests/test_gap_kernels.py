@@ -1,0 +1,153 @@
+"""The gap-array range scans against the per-integer scans they replace.
+
+Every limit from 8 to 2000 is checked on the real index. Q itself never
+lists a value twice, so the violation branches of ``check_adjacency`` and
+``check_twin_shift`` only fire on drawn sorted arrays with values
+injected a second time; those are compared with the oracles too.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from _oracles import (
+    adjacency_violation_slow,
+    bertrand_failures_slow,
+    fixed_point_slow,
+    gap_histogram_slow,
+    gap_pairs_slow,
+    gap_run_slow,
+    twin_shift_violation_slow,
+)
+from sploop import (
+    CapacityError,
+    QIndex,
+    build_sieve,
+    check_adjacency,
+    check_twin_shift,
+    find_gap_run,
+    fixed_point,
+    gap_histogram,
+    gap_pairs,
+    scan_bertrand,
+)
+
+TOP = 2000
+
+
+@pytest.fixture(scope="module")
+def indexes():
+    """QIndex at every limit from 8 to TOP, cut from one build."""
+    elements = QIndex.from_sieve(build_sieve(TOP)).elements
+    return [
+        QIndex(limit, elements[: np.searchsorted(elements, limit, side="right")])
+        for limit in range(8, TOP + 1)
+    ]
+
+
+def gap_run_or_none(index, n):
+    try:
+        run = find_gap_run(index, n)
+    except CapacityError:
+        return None
+    return run.start, run.length
+
+
+def fixed_point_or_none(index, q):
+    try:
+        return fixed_point(index, q)
+    except CapacityError:
+        return None
+
+
+def assert_first_gap_queries(index):
+    gaps = np.diff(index.elements)
+    assert np.array_equal(index.gaps, gaps)
+    for w in range(int(gaps.max()) + 2):
+        hits = np.flatnonzero(gaps >= w)
+        assert index.first_gap_at_least(w) == (int(hits[0]) if hits.size else None)
+    assert index.widest_gap() == int(gaps.argmax())
+
+
+def assert_scans_match(index):
+    """Every rewritten scan agrees with its oracle on this index."""
+    e, limit = index.elements, index.limit
+    assert_first_gap_queries(index)
+    for lo in (1, 5):
+        if lo <= limit // 2:
+            assert scan_bertrand(index, lo, limit // 2) == \
+                bertrand_failures_slow(e, lo, limit // 2)
+    t_max = index.max_element - 2
+    assert check_adjacency(index, t_max) == adjacency_violation_slow(e, t_max)
+    for bound in (8, limit // 3, limit):
+        assert check_twin_shift(index, bound) == twin_shift_violation_slow(e, bound)
+    widest = int(index.gaps.max())
+    for n in range(1, widest + 2):
+        assert gap_run_or_none(index, n) == gap_run_slow(e, n), n
+    for q in e[(e > 1) & (e <= widest + 20)].tolist():
+        assert fixed_point_or_none(index, q) == fixed_point_slow(e, q), q
+    for bound in (0, 8, limit // 3, limit):
+        for g in (1, 2, 4, 9):
+            assert [(p.lo, p.hi) for p in gap_pairs(index, g, bound)] == \
+                gap_pairs_slow(e, g, bound)
+        assert gap_histogram(index, bound) == gap_histogram_slow(e, bound)
+
+
+def test_every_limit_to_2000(indexes):
+    for index in indexes:
+        assert_scans_match(index)
+
+
+def test_first_gap_at_least_at_1e5(index_1e5):
+    assert_first_gap_queries(index_1e5)
+
+
+def test_violation_witnesses():
+    # 27 listed twice: N(26) = 27 and N(27) = 28 lie two positions apart.
+    # The first twin is (27, 28), and x = 27 + 1 - 27 = 1 hits t = 26.
+    elements = QIndex.from_sieve(build_sieve(200)).elements
+    doubled = np.sort(np.append(elements, 27))
+    index = QIndex(200, doubled)
+    assert check_adjacency(index, 100) == 26
+    assert check_twin_shift(index, 200) == (27, 1, 27)
+    assert_scans_match(index)
+
+
+@st.composite
+def repeated_arrays(draw):
+    """A sorted array that starts at 1, with one to three members listed
+    twice. Dense draws make twins, and so twin-shift witnesses, common."""
+    rest = draw(st.lists(st.integers(2, 80), min_size=10, max_size=60,
+                         unique=True))
+    elements = sorted([1] + rest)
+    twice = draw(st.lists(st.sampled_from(elements), min_size=1, max_size=3,
+                          unique=True))
+    return np.array(sorted(elements + twice), dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(repeated_arrays())
+def test_drawn_arrays_with_a_repeat(elements):
+    # limit past the largest member lets scan_bertrand reach n with no
+    # successor at all
+    index = QIndex(2 * int(elements[-1]), elements)
+    e = index.elements
+    assert_first_gap_queries(index)
+    hi = index.limit // 2
+    assert scan_bertrand(index, 1, hi) == bertrand_failures_slow(e, 1, hi)
+    t_max = index.max_element - 2
+    assert check_adjacency(index, t_max) == adjacency_violation_slow(e, t_max)
+    for bound in (int(e[-1]) // 2, index.limit):
+        assert check_twin_shift(index, bound) == twin_shift_violation_slow(e, bound)
+    for n in range(1, int(index.gaps.max()) + 2):
+        assert gap_run_or_none(index, n) == gap_run_slow(e, n), n
+    for q in np.unique(e[e > 1]).tolist():
+        assert fixed_point_or_none(index, q) == fixed_point_slow(e, q), q
+    for bound in (int(e[-1]) // 2, index.limit):
+        for g in (1, 2, 3):
+            assert [(p.lo, p.hi) for p in gap_pairs(index, g, bound)] == \
+                gap_pairs_slow(e, g, bound)
+        assert gap_histogram(index, bound) == gap_histogram_slow(e, bound)

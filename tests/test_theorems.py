@@ -47,8 +47,9 @@ class TestGapRuns:
     def test_errors(self, index_117):
         with pytest.raises(DomainError):
             find_gap_run(index_117, 0)
-        with pytest.raises(CapacityError):
+        with pytest.raises(CapacityError) as exc:
             find_gap_run(index_117, 50)
+        assert exc.value.required is None
 
 
 class TestGapPairs:
