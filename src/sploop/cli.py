@@ -76,8 +76,9 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--format", choices=("json", "csv", "plain"),
                    default=argparse.SUPPRESS, help="output format (default json)")
     g.add_argument("--threads", type=int, default=argparse.SUPPRESS, metavar="N",
-                   help="worker threads for the sieve build (range scans "
-                        "run in one pass)")
+                   help="accepted for compatibility and ignored, but must be "
+                        "at least 1: the sieve build and the range scans each "
+                        "run in one pass")
     g.add_argument("-v", "--verbose", action="count", default=argparse.SUPPRESS,
                    help="diagnostics on stderr; repeat for more")
 
@@ -167,8 +168,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = cmd("verify", "run a named verification suite")
     p.add_argument("--suite", required=True, choices=sorted(SUITES) + ["all"])
     p.add_argument("--rank", type=int, help="prefix rank (axioms, theorem3)")
-    p.add_argument("--n-max", type=int, help="largest run length (lemma1)")
-    p.add_argument("--length", type=int, help="largest progression length (lemma2, theorem2)")
+    p.add_argument("--n-max", type=int,
+                   help="largest run length (lemma1; default 25, capped at "
+                        "the longest run)")
+    p.add_argument("--length", type=int,
+                   help="largest progression length (lemma2, theorem2; "
+                        "default 4, capped at the terms below --limit)")
     p.add_argument("--bound", type=int, help="prime search bound (lemma2, theorem2)")
     p.add_argument("--square", type=int, help="square root for scaling (lemma2, theorem2)")
     p.add_argument("--from", dest="lo", type=int, help="scan start (lemma3)")
@@ -513,8 +518,19 @@ def _suite_axioms(cfg, args, sieve, index):
 
 
 def _suite_lemma1(cfg, args, sieve, index):
-    n_max = args.n_max if args.n_max is not None else 25
     checks = []
+    n_max = args.n_max
+    if n_max is None:
+        # find_gap_run(n) needs a run of length n, so the default stops at
+        # the longest run; an explicit --n-max past it is a capacity error.
+        longest = theorems.longest_gap_run(index)
+        n_max = min(25, longest.length)
+        if n_max < 25:
+            checks.append(_check(
+                "default_n_max", True,
+                f"--n-max capped at {n_max} (default 25): the longest "
+                f"SP-free run below limit {index.limit} is {longest.length} "
+                f"non-SP numbers from {longest.start}"))
     for n in range(1, n_max + 1):
         run = theorems.find_gap_run(index, n)
         lo, hi = run.start, run.start + run.length
@@ -535,6 +551,16 @@ def _ap_chain_checks(cfg, args, sieve, index, *, dual_route: bool):
     for n in range(2, max_len + 1):
         primes = theorems.find_prime_ap(n, bound)
         ap = theorems.construct_sp_ap(primes, square)
+        if args.length is None and ap.terms[-1] > index.limit:
+            # The least last term never shrinks as the length grows, so no
+            # longer default progression fits either; an explicit --length
+            # past the limit is a capacity error.
+            checks.insert(0, _check(
+                "default_length", True,
+                f"--length capped at {n - 1} (default {max_len}): the "
+                f"length-{n} progression {ap.terms} passes limit "
+                f"{index.limit}"))
+            break
         value = theorems.verify_bullet_chain(index, ap)
         if dual_route:
             via = index.successor(ap.common_difference)

@@ -1,18 +1,16 @@
 """Bulk SP generation, counting, and the successor index realizing N(x).
 
-The sieve is k-major: primes p <= limit/4 are sieved once, then for each
-k from 2 up to sqrt(limit/2) every product p * k**2 within range is marked.
-Uniqueness of the prime-times-square decomposition means each SP number is
-marked exactly once. The output range is processed in fixed-size segments
-(default 2**20 numbers) so builds stay cache-friendly and can run on
-several threads with disjoint writes.
+The sieve is k-major: primes p <= limit/4 are sieved once, then one flat
+pass over k from 2 up to sqrt(limit/2) marks every product p * k**2 within
+range. Uniqueness of the prime-times-square decomposition means each SP
+number is marked exactly once, so the pass needs no segments or locks.
 
-Memory cost: the in-memory flag array spends one byte per number in
-[0, limit] (numpy bool), plus one 8-byte prefix count per 4096 numbers and
-8 bytes per SP for the sorted index, and 8 more per SP for its gaps once a
-gap question is asked. The cache file stores one bit per
-number. A 10**8 build therefore needs roughly 130 MB resident and 12.5 MB
-on disk.
+Memory cost: one byte per number in [0, limit] for the flags (numpy bool),
+one 8-byte prefix count per 4096 numbers, 8 bytes per SP for the sorted
+index and 8 more for its gaps once a gap question is asked. The build also
+holds the primes <= limit/4 and their products with 4, 8 bytes each. The
+cache file stores one bit per number. A 10**8 build peaks near 125 MB and
+takes 12.5 MB on disk.
 """
 
 from __future__ import annotations
@@ -21,10 +19,10 @@ import math
 import os
 import struct
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from . import spcore
 from .errors import (
     CacheChecksumError,
     CacheMagicError,
@@ -57,11 +55,14 @@ def _prime_sieve(n: int) -> np.ndarray:
 
 
 def _estimate_build_bytes(limit: int) -> int:
-    flags = limit + 1
+    """Bound on ``build_sieve``'s peak: the flags or the base-prime mask (never
+    alive together), each beside two prime-sized arrays (the primes and
+    their k = 2 products), plus the prefix counts and 1 MiB of slack."""
     pmax = max(limit // 4, 2)
+    # pi(x) < 1.25506 x / ln x for x > 1 (Rosser and Schoenfeld, 1962).
     primes = int(1.3 * pmax / math.log(pmax)) * 8
     prefix = (limit // COUNT_BLOCK + 2) * 8
-    return flags + primes + prefix + (1 << 20)
+    return max(limit + 1, pmax + 1) + 2 * primes + prefix + (1 << 20)
 
 
 class SpSieve:
@@ -123,9 +124,16 @@ class SpSieve:
             + _CRC.pack(zlib.crc32(payload) & 0xFFFFFFFF)
         )
         tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "wb") as fh:
-            fh.write(blob)
-        os.replace(tmp, path)
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(blob)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except BaseException:  # path keeps its old file; drop the partial tmp
+            if os.path.exists(tmp):
+                os.remove(tmp)
+            raise
 
     @classmethod
     def load(cls, path) -> "SpSieve":
@@ -165,18 +173,6 @@ def load_cache(source) -> SpSieve:
     return SpSieve.load(source)
 
 
-def _mark_segment(flags: np.ndarray, primes: np.ndarray, lo: int, hi: int) -> None:
-    """Mark every SP in [lo, hi): products p * k**2 with lo <= p*k**2 < hi."""
-    k = 2
-    while 2 * k * k < hi:
-        kk = k * k
-        i0 = np.searchsorted(primes, -(-lo // kk)) if lo else 0
-        i1 = np.searchsorted(primes, (hi - 1) // kk, side="right")
-        if i0 < i1:
-            flags[primes[i0:i1] * kk] = True
-        k += 1
-
-
 def build_sieve(
     limit: int,
     *,
@@ -186,8 +182,9 @@ def build_sieve(
 ) -> SpSieve:
     """Sieve all SP numbers in [0, limit].
 
-    Marking is idempotent and, by uniqueness of the decomposition, each SP
-    is in fact hit exactly once across the whole (k, p) double loop.
+    One pass over k marks p * k**2 for every prime p <= limit // k**2, so
+    by uniqueness of the decomposition each SP is hit exactly once.
+    ``segment_size`` and ``threads`` are accepted and ignored.
     """
     if limit < 1:
         raise DomainError(f"need limit >= 1, got {limit}")
@@ -200,15 +197,17 @@ def build_sieve(
         )
     primes = _prime_sieve(limit // 4)
     flags = np.zeros(limit + 1, dtype=bool)
-    bounds = list(range(0, limit + 1, segment_size)) + [limit + 1]
-    segments = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
-    if threads > 1 and len(segments) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda seg: _mark_segment(flags, primes, *seg), segments))
-    else:
-        for lo, hi in segments:
-            _mark_segment(flags, primes, lo, hi)
+    for k in range(2, math.isqrt(limit // 2) + 1):
+        kk = k * k
+        flags[primes[: np.searchsorted(primes, limit // kk, side="right")] * kk] = True
     return SpSieve(limit, flags)
+
+
+def _successor_beyond(x: int) -> int:
+    """N(x), x >= 1: the first ``spcore.is_sp`` hit above x while primality
+    is certified (below 2**64), else 2x. 2x is a proven bound: by Bertrand's
+    postulate a prime p lies in (x/4, x/2], and 4p in (x, 2x] is SP."""
+    return next((n for n in range(x + 1, 1 << 64) if spcore.is_sp(n)), 2 * x)
 
 
 class QIndex:
@@ -287,7 +286,7 @@ class QIndex:
             raise CapacityError(
                 f"successor({x}) is beyond the largest indexed element "
                 f"{self.max_element}; rebuild with a larger limit",
-                required=2 * x,
+                required=_successor_beyond(x),
             )
         i = int(np.searchsorted(self.elements, x, side="right"))
         return int(self.elements[i])
@@ -300,7 +299,7 @@ class QIndex:
             raise CapacityError(
                 f"successor of {int(xs.max())} is beyond the largest indexed "
                 f"element {self.max_element}",
-                required=2 * int(xs.max()),
+                required=_successor_beyond(int(xs.max())),
             )
         return self.elements[np.searchsorted(self.elements, xs, side="right")]
 

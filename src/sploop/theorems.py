@@ -85,16 +85,23 @@ def find_gap_run(index: QIndex, n: int) -> GapRun:
     # Past the first run, gaps[0] = elements[1] - 1 < n + 1, so i >= 1.
     i = index.first_gap_at_least(n + 1)
     if i is None:
-        w = index.widest_gap()
-        longest = GapRun(start=int(elements[w]) + 1, length=int(index.gaps[w]) - 1)
-        if longest.length <= first.length:
-            longest = first
+        longest = longest_gap_run(index)
         raise CapacityError(
             f"no SP-free run of length {n} below limit {index.limit}; the "
             f"longest is {longest.length} non-SP numbers from {longest.start}; "
             f"a larger limit may hold one",
         )
     return GapRun(start=int(elements[i]) + 1, length=int(index.gaps[i]) - 1)
+
+
+def longest_gap_run(index: QIndex) -> GapRun:
+    """The longest run ``find_gap_run`` can return below the index limit,
+    the first one on ties. The index must hold an SP number."""
+    elements = index.elements
+    first = GapRun(start=1, length=int(elements[1]) - 1)
+    w = index.widest_gap()
+    widest = GapRun(start=int(elements[w]) + 1, length=int(index.gaps[w]) - 1)
+    return widest if widest.length > first.length else first
 
 
 def gap_pairs(index: QIndex, g: int, limit: int) -> list[SpPair]:

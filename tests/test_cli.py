@@ -63,6 +63,11 @@ class TestQueries:
         assert code == 3
         assert "--limit" in err
 
+    def test_succ_capacity_names_the_successor(self):
+        code, _, err = run("succ", "1000", "--limit", "1000")
+        assert code == 3
+        assert "(try --limit 1004)" in err  # N(1000) = 1004 = 251 * 2**2
+
     def test_global_flag_position_is_flexible(self):
         before = run("--limit", "1000", "op", "212", "236")
         after = run("op", "212", "236", "--limit", "1000")
@@ -324,6 +329,35 @@ class TestVerifySuites:
         assert "widest gap 51" in note["detail"]
         assert "52, 63, 68, 72, 75, 76, 80, 92, 98, 99 have" in note["detail"]
         assert theorem1["checks"][-1]["name"] == "fixed_point_50"
+
+    @pytest.mark.parametrize("limit", [50, 100, 500])
+    def test_all_below_the_default_run_length(self, limit):
+        # below limit ~830 no SP-free run reaches lemma1's default n-max of
+        # 25, and below 92 the default length-4 progression does not fit
+        code, payload = run_json("verify", "--suite", "all", "--limit", str(limit))
+        assert code == 1
+        failing = [s["suite"] for s in payload["suites"] if not s["ok"]]
+        assert failing == ["theorem3"]
+        suites = {s["suite"]: s["checks"] for s in payload["suites"]}
+        longest = {50: 11, 100: 11, 500: 23}[limit]
+        assert suites["lemma1"][0]["name"] == "default_n_max"
+        assert f"capped at {longest} " in suites["lemma1"][0]["detail"]
+        assert suites["lemma1"][-1]["name"] == f"run_{longest}"
+        lengths = [2, 3] if limit < 92 else [2, 3, 4]
+        for suite, check in (("lemma2", "progression"), ("theorem2", "chain")):
+            names = [c["name"] for c in suites[suite]]
+            assert names == ["default_length"] * (limit < 92) + [
+                f"{check}_{n}" for n in lengths], suite
+
+    def test_explicit_run_length_or_progression_past_limit(self):
+        code, _, err = run("verify", "--suite", "lemma1", "--limit", "500",
+                           "--n-max", "24")
+        assert code == 3
+        assert "the longest is 23 non-SP numbers from 213" in err
+        code, _, err = run("verify", "--suite", "theorem2", "--limit", "50",
+                           "--length", "4")
+        assert code == 3
+        assert "term 92 exceeds" in err
 
     def test_theorem1_explicit_q_max_past_widest_gap(self):
         code, _, err = run("verify", "--suite", "theorem1", "--limit",

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import errno
 import os
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -24,7 +26,10 @@ from sploop import (
     save_cache,
 )
 
-from _oracles import sp_list_slow
+from sploop import sieve as sieve_module
+from sploop.sieve import _estimate_build_bytes
+
+from _oracles import q_by_construction, sp_list_slow
 
 FIRST_25 = [8, 12, 18, 20, 27, 28, 32, 44, 45, 48, 50, 52, 63, 68,
             72, 75, 76, 80, 92, 98, 99, 108, 112, 116, 117]
@@ -34,6 +39,11 @@ class TestBuild:
     def test_matches_slow_oracle(self):
         sieve = build_sieve(3000)
         assert np.flatnonzero(sieve.flags).tolist() == sp_list_slow(3000)
+
+    def test_matches_construction_oracle(self):
+        flags = np.zeros(10**6 + 1, dtype=bool)
+        flags[q_by_construction(10**6)[1:]] = True  # every member but 1
+        assert np.array_equal(build_sieve(10**6).flags, flags)
 
     def test_zero_and_one_are_clear(self, sieve_1e4):
         assert not sieve_1e4.flags[0]
@@ -52,6 +62,16 @@ class TestBuild:
     def test_memory_budget(self):
         with pytest.raises(CapacityError):
             build_sieve(10**6, memory_budget=1000)
+
+    @pytest.mark.parametrize("limit", [10**6, 10**7])
+    def test_memory_estimate_covers_traced_peak(self, limit):
+        tracemalloc.start()
+        try:
+            build_sieve(limit)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert _estimate_build_bytes(limit) >= peak
 
     def test_degenerate_limits(self):
         with pytest.raises(DomainError):
@@ -119,6 +139,17 @@ class TestQIndex:
         with pytest.raises(CapacityError) as exc:
             index_117.successor(117)
         assert exc.value.required is not None
+
+    def test_successor_required_is_exact(self, index_117):
+        # N(117) = 124 = 31 * 2**2; past 2**64 primality is uncertified,
+        # so the proven bound 2x stands in.
+        for x, required in [(117, 124), (1000, 1004), (2**64, 2**65)]:
+            with pytest.raises(CapacityError) as exc:
+                index_117.successor(x)
+            assert exc.value.required == required
+        with pytest.raises(CapacityError) as exc:
+            index_117.successor_many(np.array([5, 1000], dtype=np.int64))
+        assert exc.value.required == 1004
 
     def test_predecessor_known(self, index_1e4):
         assert index_1e4.predecessor(8) == 1
@@ -204,6 +235,38 @@ class TestCache:
         sieve = build_sieve(117)
         sieve.save(tmp_path / "q.spq")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["q.spq"]
+
+    @pytest.mark.parametrize("failing", ["write", "fsync"])
+    def test_failed_save_keeps_old_cache(self, tmp_path, monkeypatch, failing):
+        path = tmp_path / "q.spq"
+        build_sieve(117).save(path)
+        before = path.read_bytes()
+
+        def disk_full(*_args):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        class HalfWrite:
+            def __init__(self, name, mode):
+                self.fh = open(name, mode)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                disk_full()
+
+        if failing == "write":
+            monkeypatch.setattr(sieve_module, "open", HalfWrite, raising=False)
+        else:
+            monkeypatch.setattr(sieve_module.os, "fsync", disk_full)
+        with pytest.raises(OSError):
+            build_sieve(2000).save(path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["q.spq"]
+        assert path.read_bytes() == before
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "q.spq"
