@@ -55,8 +55,7 @@ class CliConfig:
     limit: int
     cache: str | None
     format: str
-    threads: int
-    verbosity: int
+    verbose: bool
 
 
 def _int_list(text: str) -> list[int]:
@@ -75,12 +74,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="sieve cache file: loaded when fresh, else built and saved")
     g.add_argument("--format", choices=("json", "csv", "plain"),
                    default=argparse.SUPPRESS, help="output format (default json)")
-    g.add_argument("--threads", type=int, default=argparse.SUPPRESS, metavar="N",
-                   help="accepted for compatibility and ignored, but must be "
-                        "at least 1: the sieve build and the range scans each "
-                        "run in one pass")
-    g.add_argument("-v", "--verbose", action="count", default=argparse.SUPPRESS,
-                   help="diagnostics on stderr; repeat for more")
+    g.add_argument("-v", "--verbose", action="store_true", default=argparse.SUPPRESS,
+                   help="progress notes on stderr")
 
     parser = argparse.ArgumentParser(
         prog="sploop",
@@ -88,84 +83,91 @@ def _build_parser() -> argparse.ArgumentParser:
         description="SP numbers and the loop they form: queries, searches, "
                     "and claim verification suites.",
     )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    sub = parser.add_subparsers(required=True, metavar="COMMAND")
 
-    def cmd(name: str, help_text: str) -> argparse.ArgumentParser:
-        return sub.add_parser(name, parents=[common], help=help_text)
+    def cmd(name: str, handler, help_text: str, subs=sub) -> argparse.ArgumentParser:
+        p = subs.add_parser(name, parents=[common], help=help_text)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = cmd("build", "build the sieve (and optionally write a cache file)")
+    p = cmd("build", _cmd_build,
+            "build the sieve (and optionally write a cache file)")
     p.add_argument("--out", metavar="PATH", help="write the sieve cache here")
 
-    p = cmd("list", "list SP numbers")
+    p = cmd("list", _cmd_list, "list SP numbers")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--max", type=int, help="list SP numbers <= MAX")
     group.add_argument("--count", type=int, help="list the first COUNT SP numbers")
 
-    p = cmd("count", "count SP numbers <= N")
+    p = cmd("count", _cmd_count, "count SP numbers <= N")
     p.add_argument("n", type=int)
 
-    p = cmd("succ", "smallest element of Q strictly greater than X")
+    p = cmd("succ", _cmd_succ, "smallest element of Q strictly greater than X")
     p.add_argument("x", type=int)
 
-    p = cmd("pred", "largest element of Q strictly below X")
+    p = cmd("pred", _cmd_pred, "largest element of Q strictly below X")
     p.add_argument("x", type=int)
 
-    p = cmd("nth", "the R-th SP number")
+    p = cmd("nth", _cmd_nth, "the R-th SP number")
     p.add_argument("r", type=int)
 
-    p = cmd("op", "the loop operation A • B")
+    p = cmd("op", _cmd_op, "the loop operation A • B")
     p.add_argument("a", type=int)
     p.add_argument("b", type=int)
 
-    p = cmd("table", "full operation table over the rank-R prefix of Q")
+    p = cmd("table", _cmd_table,
+            "full operation table over the rank-R prefix of Q")
     p.add_argument("--rank", type=int, required=True)
 
-    p = cmd("nonassoc", "smallest associativity failure in the rank-R prefix")
+    p = cmd("nonassoc", _cmd_nonassoc,
+            "smallest associativity failure in the rank-R prefix")
     p.add_argument("--rank", type=int, required=True)
 
-    p = cmd("fixed-point", "least a > q in Q with a • q = a")
+    p = cmd("fixed-point", _cmd_fixed_point, "least a > q in Q with a • q = a")
     p.add_argument("q", type=int)
 
-    p = cmd("gap-run", "first run of at least N consecutive non-SP numbers")
+    p = cmd("gap-run", _cmd_gap_run,
+            "first run of at least N consecutive non-SP numbers")
     p.add_argument("n", type=int)
 
-    p = cmd("pairs", "consecutive SP pairs at a fixed gap")
+    p = cmd("pairs", _cmd_pairs, "consecutive SP pairs at a fixed gap")
     p.add_argument("--gap", type=int, required=True)
     p.add_argument("--max", type=int, help="largest pair member (default --limit)")
 
     ap_parser = sub.add_parser("ap", parents=[common],
                                help="arithmetic progressions of SP numbers")
-    ap_sub = ap_parser.add_subparsers(dest="ap_command", required=True,
-                                      metavar="ACTION")
-    p = ap_sub.add_parser("find", parents=[common],
-                          help="find a prime progression, optionally scaled by a square")
+    ap_sub = ap_parser.add_subparsers(required=True, metavar="ACTION")
+    p = cmd("find", _cmd_ap_find,
+            "find a prime progression, optionally scaled by a square", ap_sub)
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--bound", type=int, required=True,
                    help="largest allowed last term of the prime progression")
     p.add_argument("--square", type=int, metavar="R",
                    help="also emit the SP progression with terms prime * R**2")
-    p = ap_sub.add_parser("verify", parents=[common],
-                          help="check terms form an SP progression with a constant chain")
+    p = cmd("verify", _cmd_ap_verify,
+            "check terms form an SP progression with a constant chain", ap_sub)
     p.add_argument("terms", type=_int_list, metavar="T1,T2,...")
 
-    p = cmd("triples", "search the rank-R prefix for an equal-product triple")
+    p = cmd("triples", _cmd_triples,
+            "search the rank-R prefix for an equal-product triple")
     p.add_argument("--rank", type=int, required=True)
 
-    p = cmd("bertrand", "find n in [FROM, TO] with no SP strictly between n and 2n")
+    p = cmd("bertrand", _cmd_bertrand,
+            "find n in [FROM, TO] with no SP strictly between n and 2n")
     p.add_argument("--from", dest="lo", type=int, required=True)
     p.add_argument("--to", dest="hi", type=int, required=True)
 
-    p = cmd("census", "final-digit census of SP numbers <= MAX")
+    p = cmd("census", _cmd_census, "final-digit census of SP numbers <= MAX")
     p.add_argument("--max", type=int, required=True)
 
-    p = cmd("density", "sp_count(n) * ln(n) / n against zeta(2) - 1")
+    p = cmd("density", _cmd_density, "sp_count(n) * ln(n) / n against zeta(2) - 1")
     p.add_argument("--checkpoints", type=_int_list, required=True,
                    metavar="N1,N2,...")
 
-    p = cmd("zeta", "certified Hurwitz zeta(2, a) evaluation")
+    p = cmd("zeta", _cmd_zeta, "certified Hurwitz zeta(2, a) evaluation")
     p.add_argument("--a", type=float, required=True)
 
-    p = cmd("verify", "run a named verification suite")
+    p = cmd("verify", _cmd_verify, "run a named verification suite")
     p.add_argument("--suite", required=True, choices=sorted(SUITES) + ["all"])
     p.add_argument("--rank", type=int, help="prefix rank (axioms, theorem3)")
     p.add_argument("--n-max", type=int,
@@ -194,20 +196,20 @@ def _load_or_build(cfg: CliConfig) -> SpSieve:
     if cfg.cache and os.path.exists(cfg.cache):
         cached = load_cache(cfg.cache)
         if cached.limit >= cfg.limit:
-            if cfg.verbosity:
+            if cfg.verbose:
                 print(f"loaded cache {cfg.cache} (limit {cached.limit})",
                       file=sys.stderr)
             if cached.limit == cfg.limit:
                 return cached
             return SpSieve(cfg.limit, cached.flags[: cfg.limit + 1])
     started = time.monotonic()
-    sieve = build_sieve(cfg.limit, threads=cfg.threads)
-    if cfg.verbosity:
+    sieve = build_sieve(cfg.limit)
+    if cfg.verbose:
         print(f"built sieve to {cfg.limit} in {time.monotonic() - started:.2f}s",
               file=sys.stderr)
     if cfg.cache:
         sieve.save(cfg.cache)
-        if cfg.verbosity:
+        if cfg.verbose:
             print(f"saved cache {cfg.cache}", file=sys.stderr)
     return sieve
 
@@ -697,28 +699,6 @@ def _cmd_verify(cfg: CliConfig, args) -> int:
     return EXIT_OK if all_ok else EXIT_FINDING
 
 
-HANDLERS = {
-    "build": _cmd_build,
-    "list": _cmd_list,
-    "count": _cmd_count,
-    "succ": _cmd_succ,
-    "pred": _cmd_pred,
-    "nth": _cmd_nth,
-    "op": _cmd_op,
-    "table": _cmd_table,
-    "nonassoc": _cmd_nonassoc,
-    "fixed-point": _cmd_fixed_point,
-    "gap-run": _cmd_gap_run,
-    "pairs": _cmd_pairs,
-    "triples": _cmd_triples,
-    "bertrand": _cmd_bertrand,
-    "census": _cmd_census,
-    "density": _cmd_density,
-    "zeta": _cmd_zeta,
-    "verify": _cmd_verify,
-}
-
-
 def dispatch(argv: list[str]) -> int:
     """Parse argv, run the subcommand, and return the exit code."""
     parser = _build_parser()
@@ -730,23 +710,14 @@ def dispatch(argv: list[str]) -> int:
         limit=getattr(args, "limit", DEFAULT_LIMIT),
         cache=getattr(args, "cache", None),
         format=getattr(args, "format", "json"),
-        threads=getattr(args, "threads", 1),
-        verbosity=getattr(args, "verbose", 0),
+        verbose=getattr(args, "verbose", False),
     )
     if cfg.limit < 8:
         print(f"--limit must be at least 8 (the first SP number), got "
               f"{cfg.limit}", file=sys.stderr)
         return EXIT_USAGE
-    if cfg.threads < 1:
-        print(f"--threads must be at least 1, got {cfg.threads}",
-              file=sys.stderr)
-        return EXIT_USAGE
-    if args.command == "ap":
-        handler = _cmd_ap_find if args.ap_command == "find" else _cmd_ap_verify
-    else:
-        handler = HANDLERS[args.command]
     try:
-        return handler(cfg, args)
+        return args.handler(cfg, args)
     except ChainBrokenError as exc:
         print(f"chain broken at position {exc.position}, pair {exc.pair}: "
               f"{exc}", file=sys.stderr)

@@ -32,7 +32,6 @@ from .errors import (
     DomainError,
 )
 
-DEFAULT_SEGMENT_SIZE = 1 << 20
 COUNT_BLOCK = 4096  # numbers per prefix-count block
 DEFAULT_MEMORY_BUDGET = 4 << 30
 
@@ -138,10 +137,10 @@ class SpSieve:
     @classmethod
     def load(cls, path) -> "SpSieve":
         """Read a cache file, rejecting malformed input with distinct errors."""
-        with open(path, "rb") as fh:
-            data = fh.read()
-        if len(data) >= 4 and data[:4] != CACHE_MAGIC:
-            raise CacheMagicError(f"bad magic {data[:4]!r}, expected {CACHE_MAGIC!r}")
+        data = np.fromfile(path, dtype=np.uint8)
+        magic = data[:4].tobytes()
+        if len(data) >= 4 and magic != CACHE_MAGIC:
+            raise CacheMagicError(f"bad magic {magic!r}, expected {CACHE_MAGIC!r}")
         if len(data) < _HEADER.size:
             raise CacheTruncatedError(
                 f"file is {len(data)} bytes, shorter than the {_HEADER.size}-byte header"
@@ -159,10 +158,8 @@ class SpSieve:
         (crc,) = _CRC.unpack_from(data, expected - _CRC.size)
         if zlib.crc32(payload) & 0xFFFFFFFF != crc:
             raise CacheChecksumError("payload CRC-32 mismatch")
-        bits = np.unpackbits(
-            np.frombuffer(payload, dtype=np.uint8), count=limit + 1, bitorder="little"
-        )
-        return cls(limit, bits.astype(bool))
+        bits = np.unpackbits(payload, count=limit + 1, bitorder="little")
+        return cls(limit, bits.view(bool))  # unpacked bits are 0 or 1
 
 
 def save_cache(sieve: SpSieve, destination) -> None:
@@ -173,23 +170,14 @@ def load_cache(source) -> SpSieve:
     return SpSieve.load(source)
 
 
-def build_sieve(
-    limit: int,
-    *,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-    threads: int = 1,
-    memory_budget: int = DEFAULT_MEMORY_BUDGET,
-) -> SpSieve:
+def build_sieve(limit: int, *, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> SpSieve:
     """Sieve all SP numbers in [0, limit].
 
     One pass over k marks p * k**2 for every prime p <= limit // k**2, so
     by uniqueness of the decomposition each SP is hit exactly once.
-    ``segment_size`` and ``threads`` are accepted and ignored.
     """
     if limit < 1:
         raise DomainError(f"need limit >= 1, got {limit}")
-    if segment_size < 1:
-        raise DomainError(f"need segment_size >= 1, got {segment_size}")
     need = _estimate_build_bytes(limit)
     if need > memory_budget:
         raise CapacityError(

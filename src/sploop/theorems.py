@@ -33,7 +33,7 @@ from .errors import (
     ValidationError,
 )
 from .loop_algebra import lop
-from .sieve import QIndex
+from .sieve import QIndex, _successor_beyond
 
 TRIPLE_RANK_BUDGET = 2000
 
@@ -260,16 +260,13 @@ def search_equal_triple(index: QIndex, r: int) -> tuple[int, int, int] | None:
     return None
 
 
-def scan_bertrand(
-    index: QIndex, lo: int, hi: int, *, threads: int = 1
-) -> list[int]:
+def scan_bertrand(index: QIndex, lo: int, hi: int) -> list[int]:
     """All n in [lo, hi] whose open interval (n, 2n) contains no SP number.
 
     The check is successor(n) < 2n. The interval is open on both ends, so
     n = 4 fails even though 8 = 2n is SP. For n in [e_i, e_{i+1}) the
     successor is e_{i+1}, so n fails exactly when n <= e_{i+1} // 2, and
-    only a gap at least e_i wide leaves such an n. ``threads`` is accepted
-    and ignored: the scan is one pass over the gaps.
+    only a gap at least e_i wide leaves such an n.
     """
     if lo < 1:
         raise DomainError(f"need lo >= 1, got {lo}")
@@ -298,14 +295,13 @@ def _repeated_values(index: QIndex) -> np.ndarray:
     return np.unique(index.elements[:-1][index.gaps == 0])
 
 
-def check_adjacency(index: QIndex, t_max: int, *, threads: int = 1) -> int | None:
+def check_adjacency(index: QIndex, t_max: int) -> int | None:
     """First t <= t_max where N(t) and N(t+1) are neither equal nor
     consecutive in Q, or None when every t passes.
 
     At most one integer, t + 1, lies in (t, t+1], so the two successors are
     more than one step of Q apart only where t + 1 is listed twice: the
-    answer is the least repeated value, less one. ``threads`` is accepted
-    and ignored.
+    answer is the least repeated value, less one.
     """
     if t_max < 0:
         raise DomainError(f"need t_max >= 0, got {t_max}")
@@ -313,7 +309,7 @@ def check_adjacency(index: QIndex, t_max: int, *, threads: int = 1) -> int | Non
         raise CapacityError(
             f"t_max {t_max} needs successor coverage past {t_max + 1}; "
             f"largest indexed element is {index.max_element}",
-            required=2 * (t_max + 1),
+            required=_successor_beyond(t_max + 1),
         )
     ts = _repeated_values(index) - 1
     ts = ts[(ts >= 0) & (ts <= t_max)]

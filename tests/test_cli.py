@@ -271,12 +271,26 @@ class TestDeterminismAndCache:
         assert payload["max_sp"] == 117
         assert load_cache(out_path).limit == 117
 
-    def test_threads_do_not_change_output(self):
-        single = run("bertrand", "--from", "1", "--to", "1000",
-                     "--limit", "10000")
-        multi = run("bertrand", "--from", "1", "--to", "1000",
-                    "--limit", "10000", "--threads", "4")
-        assert single == multi
+    def test_threads_is_a_usage_error(self):
+        code, out, _ = run("bertrand", "--from", "1", "--to", "1000",
+                           "--limit", "10000", "--threads", "4")
+        assert code == 2
+        assert out == ""
+
+    def test_verbose_notes_go_to_stderr_only(self, tmp_path):
+        argv = ("count", "117", "--limit", "100000", "--cache")
+        quiet, loud = str(tmp_path / "quiet.spq"), str(tmp_path / "loud.spq")
+        code, out, err = run(*argv, quiet)
+        assert (code, err) == (0, "")
+        built = run(*argv, loud, "-v")
+        assert built[:2] == (code, out)
+        assert "built sieve to 100000" in built[2]
+        assert f"saved cache {loud}" in built[2]
+        assert run(*argv, quiet) == (code, out, "")
+        loaded = run(*argv, loud, "-v")
+        assert loaded[:2] == (code, out)
+        assert loaded[2] == f"loaded cache {loud} (limit 100000)\n"
+        assert run(*argv, loud, "-vv") == loaded
 
 
 class TestVerifySuites:
@@ -310,6 +324,14 @@ class TestVerifySuites:
         code, payload = run_json("verify", "--suite", "lemma4",
                                  "--limit", "100000", "--t-max", "10000")
         assert code == 0
+
+    def test_lemma4_capacity_names_the_exact_limit(self):
+        argv = ("verify", "--suite", "lemma4", "--t-max", "990", "--limit")
+        code, _, err = run(*argv, "1000")
+        assert code == 3
+        assert "(try --limit 1004)" in err
+        assert run(*argv, "1003")[0] == 3
+        assert run(*argv, "1004")[0] == 0
 
     def test_theorem1(self):
         code, payload = run_json("verify", "--suite", "theorem1",

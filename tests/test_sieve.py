@@ -24,6 +24,7 @@ from sploop import (
     build_sieve,
     load_cache,
     save_cache,
+    scan_bertrand,
 )
 
 from sploop import sieve as sieve_module
@@ -49,15 +50,13 @@ class TestBuild:
         assert not sieve_1e4.flags[0]
         assert not sieve_1e4.flags[1]
 
-    def test_segment_size_invariance(self):
-        base = build_sieve(10**5)
-        small = build_sieve(10**5, segment_size=999)
-        assert np.array_equal(base.flags, small.flags)
-
-    def test_thread_invariance(self):
-        base = build_sieve(10**5)
-        threaded = build_sieve(10**5, threads=4, segment_size=1 << 12)
-        assert np.array_equal(base.flags, threaded.flags)
+    def test_removed_options_are_type_errors(self, index_1e4):
+        with pytest.raises(TypeError):
+            build_sieve(100, threads=2)
+        with pytest.raises(TypeError):
+            build_sieve(100, segment_size=8)
+        with pytest.raises(TypeError):
+            scan_bertrand(index_1e4, 1, 10, threads=2)
 
     def test_memory_budget(self):
         with pytest.raises(CapacityError):
@@ -320,6 +319,18 @@ class TestCache:
         back = load_cache(path)
         assert back.limit == limit
         assert np.array_equal(back.flags, sieve.flags)
+
+    @pytest.mark.parametrize("limit", [10**6, 10**7])
+    def test_load_peak_stays_near_the_flags(self, tmp_path, limit):
+        path = tmp_path / "q.spq"
+        build_sieve(limit).save(path)
+        tracemalloc.start()
+        try:
+            flags = load_cache(path).flags
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * flags.nbytes
 
     def test_trimmed_view_matches_fresh_build(self):
         big = build_sieve(2000)

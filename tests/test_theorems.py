@@ -203,10 +203,6 @@ class TestBertrand:
         assert scan_bertrand(index_1e4, 9, 9) == []
         assert scan_bertrand(index_1e4, 4, 4) == [4]
 
-    def test_threads_match(self, index_1e5):
-        assert scan_bertrand(index_1e5, 1, 4 * 10**4) == scan_bertrand(
-            index_1e5, 1, 4 * 10**4, threads=4)
-
     def test_capacity(self, index_1e4):
         with pytest.raises(CapacityError):
             scan_bertrand(index_1e4, 1, 10**4)
@@ -225,12 +221,10 @@ class TestAdjacency:
     def test_no_violation_to_1e4(self, index_1e5):
         assert check_adjacency(index_1e5, 10**4) is None
 
-    def test_threads_match(self, index_1e5):
-        assert check_adjacency(index_1e5, 4 * 10**4, threads=4) is None
-
     def test_capacity(self, index_117):
-        with pytest.raises(CapacityError):
+        with pytest.raises(CapacityError) as exc:
             check_adjacency(index_117, 117)
+        assert exc.value.required == 124  # N(118)
 
 
 class TestTwinShift:
