@@ -117,7 +117,7 @@ def digit_census(sieve: SpSieve, limit: int) -> DigitCensus:
         raise CapacityError(
             f"limit {limit} exceeds the sieve limit {sieve.limit}", required=limit
         )
-    sps = np.flatnonzero(sieve.flags[: limit + 1])
+    sps = sieve.elements[1 : sieve.sp_count(limit) + 1]
     tally = np.bincount(sps % 10, minlength=10)
     target = digit1_constant() * limit / math.log(limit) if limit >= 2 else 0.0
     return DigitCensus(

@@ -6,7 +6,7 @@ stderr. Exit codes:
 
   0  success, or the checked claim held
   1  a counterexample or broken chain was found
-  2  usage error (bad arguments, non-member operands, malformed cache)
+  2  usage error (bad arguments, non-member operands, malformed or unusable cache)
   3  capacity exceeded (enlarge --limit or the relevant search bound)
 
 The sieve bound is the global --limit flag (default 10**7). With --cache
@@ -239,8 +239,7 @@ def _emit(cfg: CliConfig, payload: dict, plain_lines: list[str],
 def _cmd_build(cfg: CliConfig, args) -> int:
     sieve = _load_or_build(cfg)
     count = sieve.sp_count(sieve.limit)
-    sps = np.flatnonzero(sieve.flags)
-    largest = int(sps[-1]) if sps.size else None
+    largest = int(sieve.elements[-1])
     out = getattr(args, "out", None)
     if out:
         sieve.save(out)
@@ -728,7 +727,7 @@ def dispatch(argv: list[str]) -> int:
             hint = f" (try --limit {exc.required})"
         print(f"capacity: {exc}{hint}", file=sys.stderr)
         return EXIT_CAPACITY
-    except (DomainError, MembershipError, ValidationError, CacheError) as exc:
+    except (DomainError, MembershipError, ValidationError, CacheError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SploopError as exc:

@@ -6,8 +6,8 @@ range. Uniqueness of the prime-times-square decomposition means each SP
 number is marked exactly once, so the pass needs no segments or locks.
 
 Memory cost: one byte per number in [0, limit] for the flags (numpy bool),
-one 8-byte prefix count per 4096 numbers, 8 bytes per SP for the sorted
-index and 8 more for its gaps once a gap question is asked. The build also
+8 bytes per SP for the sorted members once a count or an index asks for
+them, and 8 more for their gaps once a gap question is asked. The build also
 holds the primes <= limit/4 and their products with 4, 8 bytes each. The
 cache file stores one bit per number. A 10**8 build peaks near 125 MB and
 takes 12.5 MB on disk.
@@ -32,13 +32,13 @@ from .errors import (
     DomainError,
 )
 
-COUNT_BLOCK = 4096  # numbers per prefix-count block
 DEFAULT_MEMORY_BUDGET = 4 << 30
 
 CACHE_MAGIC = b"SPLQ"
 CACHE_VERSION = 1
 _HEADER = struct.Struct("<4sIQ")
 _CRC = struct.Struct("<I")
+_SLICE = 1 << 20  # flags per flatnonzero call when listing the members
 
 
 def _prime_sieve(n: int) -> np.ndarray:
@@ -56,36 +56,42 @@ def _prime_sieve(n: int) -> np.ndarray:
 def _estimate_build_bytes(limit: int) -> int:
     """Bound on ``build_sieve``'s peak: the flags or the base-prime mask (never
     alive together), each beside two prime-sized arrays (the primes and
-    their k = 2 products), plus the prefix counts and 1 MiB of slack."""
+    their k = 2 products), plus 1 MiB of slack."""
     pmax = max(limit // 4, 2)
     # pi(x) < 1.25506 x / ln x for x > 1 (Rosser and Schoenfeld, 1962).
     primes = int(1.3 * pmax / math.log(pmax)) * 8
-    prefix = (limit // COUNT_BLOCK + 2) * 8
-    return max(limit + 1, pmax + 1) + 2 * primes + prefix + (1 << 20)
+    return max(limit + 1, pmax + 1) + 2 * primes + (1 << 20)
 
 
 class SpSieve:
-    """Flags over [0, limit] with bit i set iff i is SP, plus prefix counts."""
+    """Flags over [0, limit] with flag i set iff i is SP, and the members of
+    Q listed from them (``elements``), which answer every count."""
 
-    __slots__ = ("limit", "flags", "_prefix")
+    __slots__ = ("limit", "flags", "_elements")
 
     def __init__(self, limit: int, flags: np.ndarray):
         self.limit = limit
         self.flags = flags
-        self._prefix = self._build_prefix(flags)
+        self._elements = None
 
-    @staticmethod
-    def _build_prefix(flags: np.ndarray) -> np.ndarray:
-        full = len(flags) // COUNT_BLOCK
-        prefix = np.zeros(full + 2, dtype=np.int64)
-        if full:
-            body = flags[: full * COUNT_BLOCK].reshape(full, COUNT_BLOCK)
-            np.cumsum(body.sum(axis=1, dtype=np.int64), out=prefix[1 : full + 1])
-        prefix[full + 1] = prefix[full] + int(flags[full * COUNT_BLOCK :].sum())
-        return prefix
+    @property
+    def elements(self) -> np.ndarray:
+        """1 followed by every SP <= limit, ascending int64, made from the
+        flags on first use and kept: a sieve that is only saved, loaded or
+        asked ``is_sp`` never holds it. Filled 1 MiB of flags at a time, so
+        making it needs little more memory than the array itself."""
+        if self._elements is None:
+            elements = np.empty(1 + np.count_nonzero(self.flags), dtype=np.int64)
+            elements[0] = 1
+            at = 1
+            for lo in range(0, self.flags.size, _SLICE):
+                hits = np.flatnonzero(self.flags[lo : lo + _SLICE])
+                np.add(hits, lo, out=elements[at : at + hits.size])
+                at += hits.size
+            self._elements = elements
+        return self._elements
 
-    def is_sp(self, n: int) -> bool:
-        """Flag lookup; raises when n is outside the sieved range."""
+    def _check_range(self, n: int) -> None:
         if n < 0:
             raise DomainError(f"need n >= 0, got {n}")
         if n > self.limit:
@@ -93,24 +99,20 @@ class SpSieve:
                 f"n={n} exceeds sieve limit {self.limit}; rebuild with limit >= {n}",
                 required=n,
             )
+
+    def is_sp(self, n: int) -> bool:
+        """Flag lookup; raises when n is outside the sieved range."""
+        self._check_range(n)
         return bool(self.flags[n])
 
     def sp_count(self, n: int) -> int:
-        """Number of SP numbers <= n (inclusive), O(1) amortized.
+        """Number of SP numbers <= n (inclusive), by binary search.
 
         The inclusive convention is deliberate and documented: counts at a
         checkpoint include the checkpoint itself when it is SP.
         """
-        if n < 0:
-            raise DomainError(f"need n >= 0, got {n}")
-        if n > self.limit:
-            raise CapacityError(
-                f"n={n} exceeds sieve limit {self.limit}; rebuild with limit >= {n}",
-                required=n,
-            )
-        block = (n + 1) // COUNT_BLOCK
-        tail = int(self.flags[block * COUNT_BLOCK : n + 1].sum())
-        return int(self._prefix[block]) + tail
+        self._check_range(n)
+        return int(np.searchsorted(self.elements[1:], n, side="right"))
 
     # -- cache -----------------------------------------------------------
 
@@ -247,10 +249,8 @@ class QIndex:
 
     @classmethod
     def from_sieve(cls, sieve: SpSieve) -> "QIndex":
-        elements = np.concatenate(
-            (np.ones(1, dtype=np.int64), np.flatnonzero(sieve.flags).astype(np.int64))
-        )
-        return cls(sieve.limit, elements)
+        """Wrap ``sieve.elements``; the index shares it, with no copy."""
+        return cls(sieve.limit, sieve.elements)
 
     def __len__(self) -> int:
         return len(self.elements)

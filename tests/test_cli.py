@@ -263,6 +263,19 @@ class TestDeterminismAndCache:
                            "--cache", str(cache))
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["op", "8", "12", "--cache", "{tmp}"],
+        ["op", "8", "12", "--cache", "{tmp}/missing/q.spq"],
+        ["build", "--out", "{tmp}/missing/q.spq"],
+    ], ids=["cache-is-a-directory", "cache-dir-missing", "out-dir-missing"])
+    def test_unusable_cache_path_is_a_usage_error(self, tmp_path, argv):
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        code, out, err = run(*argv, "--limit", "1000")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and str(tmp_path) in err
+        assert "Traceback" not in err
+
     def test_build_out(self, tmp_path):
         out_path = str(tmp_path / "built.spq")
         code, payload = run_json("build", "--limit", "117", "--out", out_path)

@@ -106,6 +106,14 @@ class TestCounting:
         running = np.cumsum(sieve_1e4.flags)
         for n in list(range(0, 200)) + [4095, 4096, 4097, 8191, 9999, 10**4]:
             assert sieve_1e4.sp_count(n) == int(running[n]), n
+        # Every n at small limits, on a fresh build and on a trimmed view of
+        # a larger one (the CLI's cache-trim path).
+        big = build_sieve(5000)
+        for limit in (7, 8, 9, 117, 4096, 4097):
+            for sieve in (build_sieve(limit), SpSieve(limit, big.flags[: limit + 1])):
+                running = np.cumsum(sieve.flags)
+                for n in range(limit + 1):
+                    assert sieve.sp_count(n) == int(running[n]), (limit, n)
 
     def test_out_of_range(self, sieve_1e4):
         with pytest.raises(CapacityError):
@@ -124,6 +132,22 @@ class TestQIndex:
     def test_elements_start_with_identity(self, index_117):
         assert index_117.elements[0] == 1
         assert index_117.elements[1:].tolist() == FIRST_25
+
+    def test_from_sieve_shares_the_elements(self):
+        sieve = build_sieve(1000)
+        index = QIndex.from_sieve(sieve)
+        assert np.shares_memory(index.elements, sieve.elements)
+        assert QIndex.from_sieve(sieve).elements is index.elements
+
+    def test_from_sieve_peak_stays_near_the_elements(self):
+        sieve = build_sieve(10**7)
+        tracemalloc.start()
+        try:
+            elements = QIndex.from_sieve(sieve).elements
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * elements.nbytes
 
     def test_successor_known(self, index_1e4):
         assert index_1e4.successor(0) == 1
