@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, DomainError
-from .sieve import QIndex, SpSieve
+from .errors import DomainError
+from .sieve import QIndex
 
 DENSITY_TARGET = math.pi * math.pi / 6 - 1
 
@@ -74,17 +74,13 @@ class DensityRow:
     abs_error: float
 
 
-def density_table(sieve: SpSieve, checkpoints: list[int]) -> list[DensityRow]:
+def density_table(index: QIndex, checkpoints: list[int]) -> list[DensityRow]:
     """One row per checkpoint: ratio = sp_count(n) * ln(n) / n vs the target."""
     rows = []
     for n in checkpoints:
         if n < 3:
             raise DomainError(f"checkpoints must be >= 3, got {n}")
-        if n > sieve.limit:
-            raise CapacityError(
-                f"checkpoint {n} exceeds the sieve limit {sieve.limit}", required=n
-            )
-        count = sieve.sp_count(n)
+        count = index.sp_count(n)
         ratio = count * math.log(n) / n
         rows.append(
             DensityRow(
@@ -105,19 +101,13 @@ class DigitCensus:
     digit1_target: float
 
 
-def digit_census(sieve: SpSieve, limit: int) -> DigitCensus:
+def digit_census(index: QIndex, limit: int) -> DigitCensus:
     """Exact counts of SP numbers <= limit by final decimal digit.
 
     digit1_target is the modeled count digit1_constant() * limit / ln(limit),
     reported for side-by-side comparison; it is not a tolerance assertion.
     """
-    if limit < 0:
-        raise DomainError(f"need limit >= 0, got {limit}")
-    if limit > sieve.limit:
-        raise CapacityError(
-            f"limit {limit} exceeds the sieve limit {sieve.limit}", required=limit
-        )
-    sps = sieve.elements[1 : sieve.sp_count(limit) + 1]
+    sps = index.elements[1 : index.sp_count(limit) + 1]
     tally = np.bincount(sps % 10, minlength=10)
     target = digit1_constant() * limit / math.log(limit) if limit >= 2 else 0.0
     return DigitCensus(
@@ -129,12 +119,7 @@ def digit_census(sieve: SpSieve, limit: int) -> DigitCensus:
 
 def gap_histogram(index: QIndex, limit: int) -> dict[int, int]:
     """Counts of consecutive-SP gaps among SP numbers <= limit."""
-    if limit < 0:
-        raise DomainError(f"need limit >= 0, got {limit}")
-    if limit > index.limit:
-        raise CapacityError(
-            f"limit {limit} exceeds the index limit {index.limit}", required=limit
-        )
+    index._check_range(limit)
     # gaps[0] leads from 1 to the first SP; SP gaps are gaps[1 : m - 1].
     m = int(np.searchsorted(index.elements, limit, side="right"))
     counts = np.bincount(index.gaps[1 : max(m - 1, 1)])

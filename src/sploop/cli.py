@@ -21,9 +21,9 @@ import argparse
 import csv
 import json
 import os
+import signal
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .errors import (
     ValidationError,
 )
 from .loop_algebra import cayley_table, find_nonassoc_witness, fixed_point, lop
-from .sieve import QIndex, SpSieve, build_sieve, load_cache
+from .sieve import SpSieve, build_sieve, load_cache
 
 DEFAULT_LIMIT = 10_000_000
 
@@ -48,14 +48,6 @@ EXIT_OK = 0
 EXIT_FINDING = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
-
-
-@dataclass
-class CliConfig:
-    limit: int
-    cache: str | None
-    format: str
-    verbose: bool
 
 
 def _int_list(text: str) -> list[int]:
@@ -192,36 +184,36 @@ def _build_parser() -> argparse.ArgumentParser:
 # -- sieve acquisition ----------------------------------------------------
 
 
-def _load_or_build(cfg: CliConfig) -> SpSieve:
-    if cfg.cache and os.path.exists(cfg.cache):
-        cached = load_cache(cfg.cache)
-        if cached.limit >= cfg.limit:
-            if cfg.verbose:
-                print(f"loaded cache {cfg.cache} (limit {cached.limit})",
+def _load_or_build(args) -> SpSieve:
+    if args.cache and os.path.exists(args.cache):
+        cached = load_cache(args.cache)
+        if cached.limit >= args.limit:
+            if args.verbose:
+                print(f"loaded cache {args.cache} (limit {cached.limit})",
                       file=sys.stderr)
-            if cached.limit == cfg.limit:
+            if cached.limit == args.limit:
                 return cached
-            return SpSieve(cfg.limit, cached.flags[: cfg.limit + 1])
+            return SpSieve(args.limit, cached.flags[: args.limit + 1])
     started = time.monotonic()
-    sieve = build_sieve(cfg.limit)
-    if cfg.verbose:
-        print(f"built sieve to {cfg.limit} in {time.monotonic() - started:.2f}s",
+    sieve = build_sieve(args.limit)
+    if args.verbose:
+        print(f"built sieve to {args.limit} in {time.monotonic() - started:.2f}s",
               file=sys.stderr)
-    if cfg.cache:
-        sieve.save(cfg.cache)
-        if cfg.verbose:
-            print(f"saved cache {cfg.cache}", file=sys.stderr)
+    if args.cache:
+        sieve.save(args.cache)
+        if args.verbose:
+            print(f"saved cache {args.cache}", file=sys.stderr)
     return sieve
 
 
 # -- output ---------------------------------------------------------------
 
 
-def _emit(cfg: CliConfig, payload: dict, plain_lines: list[str],
+def _emit(args, payload: dict, plain_lines: list[str],
           csv_rows: list[list] | None = None) -> None:
-    if cfg.format == "json":
+    if args.format == "json":
         print(json.dumps(payload))
-    elif cfg.format == "plain":
+    elif args.format == "plain":
         for line in plain_lines:
             print(line)
     else:
@@ -236,84 +228,84 @@ def _emit(cfg: CliConfig, payload: dict, plain_lines: list[str],
 # -- command handlers -----------------------------------------------------
 
 
-def _cmd_build(cfg: CliConfig, args) -> int:
-    sieve = _load_or_build(cfg)
-    count = sieve.sp_count(sieve.limit)
-    largest = int(sieve.elements[-1])
+def _cmd_build(args) -> int:
+    q = _load_or_build(args)
+    count = q.sp_count(q.limit)
+    largest = int(q.elements[-1])
     out = getattr(args, "out", None)
     if out:
-        sieve.save(out)
-    payload = {"limit": sieve.limit, "sp_count": count, "max_sp": largest,
+        q.save(out)
+    payload = {"limit": q.limit, "sp_count": count, "max_sp": largest,
                "out": out}
-    plain = [f"limit {sieve.limit}: {count} SP numbers, largest {largest}"]
+    plain = [f"limit {q.limit}: {count} SP numbers, largest {largest}"]
     if out:
         plain.append(f"cache written to {out}")
-    _emit(cfg, payload, plain)
+    _emit(args, payload, plain)
     return EXIT_OK
 
 
-def _cmd_list(cfg: CliConfig, args) -> int:
-    index = QIndex.from_sieve(_load_or_build(cfg))
-    sps = index.elements[1:]
+def _cmd_list(args) -> int:
+    q = _load_or_build(args)
+    sps = q.elements[1:]
     if args.count is not None:
         if args.count < 0:
             raise DomainError(f"need --count >= 0, got {args.count}")
         if args.count > sps.size:
             raise CapacityError(
-                f"only {sps.size} SP numbers below limit {cfg.limit}, "
+                f"only {sps.size} SP numbers below limit {q.limit}, "
                 f"asked for {args.count}")
         chosen = sps[: args.count]
     else:
-        bound = args.max if args.max is not None else cfg.limit
-        if bound > cfg.limit:
+        bound = args.max if args.max is not None else q.limit
+        if bound > q.limit:
             raise CapacityError(
-                f"--max {bound} exceeds limit {cfg.limit}", required=bound)
+                f"--max {bound} exceeds limit {q.limit}", required=bound)
         chosen = sps[sps <= bound]
     values = [int(v) for v in chosen]
-    payload = {"limit": cfg.limit, "sp": values}
-    _emit(cfg, payload, [str(v) for v in values],
+    payload = {"limit": q.limit, "sp": values}
+    _emit(args, payload, [str(v) for v in values],
           [["sp"]] + [[v] for v in values])
     return EXIT_OK
 
 
-def _cmd_count(cfg: CliConfig, args) -> int:
-    sieve = _load_or_build(cfg)
-    c = sieve.sp_count(args.n)
-    _emit(cfg, {"n": args.n, "sp_count": c}, [str(c)])
+def _cmd_count(args) -> int:
+    q = _load_or_build(args)
+    c = q.sp_count(args.n)
+    _emit(args, {"n": args.n, "sp_count": c}, [str(c)])
     return EXIT_OK
 
 
-def _cmd_succ(cfg: CliConfig, args) -> int:
-    index = QIndex.from_sieve(_load_or_build(cfg))
-    v = index.successor(args.x)
-    _emit(cfg, {"x": args.x, "successor": v}, [str(v)])
+def _cmd_succ(args) -> int:
+    q = _load_or_build(args)
+    v = q.successor(args.x)
+    _emit(args, {"x": args.x, "successor": v}, [str(v)])
     return EXIT_OK
 
 
-def _cmd_pred(cfg: CliConfig, args) -> int:
-    index = QIndex.from_sieve(_load_or_build(cfg))
-    v = index.predecessor(args.x)
-    _emit(cfg, {"x": args.x, "predecessor": v}, [str(v)])
+def _cmd_pred(args) -> int:
+    q = _load_or_build(args)
+    v = q.predecessor(args.x)
+    _emit(args, {"x": args.x, "predecessor": v}, [str(v)])
     return EXIT_OK
 
 
-def _cmd_nth(cfg: CliConfig, args) -> int:
-    index = QIndex.from_sieve(_load_or_build(cfg))
-    v = index.nth_sp(args.r)
-    _emit(cfg, {"r": args.r, "sp": v}, [str(v)])
+def _cmd_nth(args) -> int:
+    q = _load_or_build(args)
+    v = q.nth_sp(args.r)
+    _emit(args, {"r": args.r, "sp": v}, [str(v)])
     return EXIT_OK
 
 
-def _cmd_op(cfg: CliConfig, args) -> int:
-    index = QIndex.from_sieve(_load_or_build(cfg))
-    v = lop(index, args.a, args.b)
-    _emit(cfg, {"a": args.a, "b": args.b, "result": v}, [str(v)])
+def _cmd_op(args) -> int:
+    q = _load_or_build(args)
+    v = lop(q, args.a, args.b)
+    _emit(args, {"a": args.a, "b": args.b, "result": v}, [str(v)])
     return EXIT_OK
 
 
-def _cmd_table(cfg: CliConfig, args) -> int:
-    index = QIndex.from_sieve(_load_or_build(cfg))
-    table = cayley_table(index, args.rank)
+def _cmd_table(args) -> int:
+    q = _load_or_build(args)
+    table = cayley_table(q, args.rank)
     members = list(table.members)
     entries = table.to_lists()
     payload = {"rank": args.rank, "members": members, "entries": entries}
@@ -322,58 +314,58 @@ def _cmd_table(cfg: CliConfig, args) -> int:
     plain += [" ".join(f"{v:>{width}}" for v in [m] + row)
               for m, row in zip(members, entries)]
     csv_rows = [[""] + members] + [[m] + row for m, row in zip(members, entries)]
-    _emit(cfg, payload, plain, csv_rows)
+    _emit(args, payload, plain, csv_rows)
     return EXIT_OK
 
 
-def _cmd_nonassoc(cfg: CliConfig, args) -> int:
-    index = QIndex.from_sieve(_load_or_build(cfg))
-    witness = find_nonassoc_witness(index, args.rank)
+def _cmd_nonassoc(args) -> int:
+    q = _load_or_build(args)
+    witness = find_nonassoc_witness(q, args.rank)
     payload = {"rank": args.rank,
                "witness": list(witness) if witness else None}
     if witness:
         a, b, c = witness
-        left = lop(index, lop(index, a, b), c)
-        right = lop(index, a, lop(index, b, c))
+        left = lop(q, lop(q, a, b), c)
+        right = lop(q, a, lop(q, b, c))
         payload["left"] = left
         payload["right"] = right
         plain = [f"({a} • {b}) • {c} = {left}  !=  "
                  f"{a} • ({b} • {c}) = {right}"]
     else:
         plain = [f"rank {args.rank}: associative (no witness)"]
-    _emit(cfg, payload, plain)
+    _emit(args, payload, plain)
     return EXIT_OK
 
 
-def _cmd_fixed_point(cfg: CliConfig, args) -> int:
-    index = QIndex.from_sieve(_load_or_build(cfg))
-    a = fixed_point(index, args.q)
-    _emit(cfg, {"q": args.q, "fixed_point": a}, [str(a)])
+def _cmd_fixed_point(args) -> int:
+    q = _load_or_build(args)
+    a = fixed_point(q, args.q)
+    _emit(args, {"q": args.q, "fixed_point": a}, [str(a)])
     return EXIT_OK
 
 
-def _cmd_gap_run(cfg: CliConfig, args) -> int:
-    index = QIndex.from_sieve(_load_or_build(cfg))
-    run = theorems.find_gap_run(index, args.n)
+def _cmd_gap_run(args) -> int:
+    q = _load_or_build(args)
+    run = theorems.find_gap_run(q, args.n)
     payload = {"n": args.n, "start": run.start, "length": run.length}
-    _emit(cfg, payload,
+    _emit(args, payload,
           [f"{run.length} consecutive non-SP numbers starting at {run.start}"])
     return EXIT_OK
 
 
-def _cmd_pairs(cfg: CliConfig, args) -> int:
-    index = QIndex.from_sieve(_load_or_build(cfg))
-    bound = args.max if args.max is not None else cfg.limit
-    pairs = theorems.gap_pairs(index, args.gap, bound)
+def _cmd_pairs(args) -> int:
+    q = _load_or_build(args)
+    bound = args.max if args.max is not None else q.limit
+    pairs = theorems.gap_pairs(q, args.gap, bound)
     payload = {"gap": args.gap, "max": bound,
                "pairs": [[p.lo, p.hi] for p in pairs]}
     plain = [f"({p.lo}, {p.hi})" for p in pairs] or ["none"]
     csv_rows = [["lo", "hi", "gap"]] + [[p.lo, p.hi, p.gap] for p in pairs]
-    _emit(cfg, payload, plain, csv_rows)
+    _emit(args, payload, plain, csv_rows)
     return EXIT_OK
 
 
-def _cmd_ap_find(cfg: CliConfig, args) -> int:
+def _cmd_ap_find(args) -> int:
     primes = theorems.find_prime_ap(args.length, args.bound)
     payload = {"length": args.length, "bound": args.bound,
                "primes": list(primes), "square": args.square,
@@ -385,19 +377,19 @@ def _cmd_ap_find(cfg: CliConfig, args) -> int:
         payload["common_difference"] = ap.common_difference
         plain.append(f"terms: {', '.join(str(t) for t in ap.terms)}")
         plain.append(f"common difference: {ap.common_difference}")
-    _emit(cfg, payload, plain)
+    _emit(args, payload, plain)
     return EXIT_OK
 
 
-def _cmd_ap_verify(cfg: CliConfig, args) -> int:
+def _cmd_ap_verify(args) -> int:
     try:
         ap = theorems.sp_ap_from_terms(args.terms)
     except ValidationError as exc:
         print(f"falsifying input: {exc}", file=sys.stderr)
         return EXIT_FINDING
-    index = QIndex.from_sieve(_load_or_build(cfg))
-    value = theorems.verify_bullet_chain(index, ap)
-    via_difference = index.successor(ap.common_difference)
+    q = _load_or_build(args)
+    value = theorems.verify_bullet_chain(q, ap)
+    via_difference = q.successor(ap.common_difference)
     verified = value == via_difference
     payload = {"terms": list(ap.terms),
                "common_difference": ap.common_difference,
@@ -407,29 +399,29 @@ def _cmd_ap_verify(cfg: CliConfig, args) -> int:
     plain = [f"chain value {value}; successor of difference "
              f"{ap.common_difference} is {via_difference}; "
              f"{'verified' if verified else 'MISMATCH'}"]
-    _emit(cfg, payload, plain)
+    _emit(args, payload, plain)
     return EXIT_OK if verified else EXIT_FINDING
 
 
-def _cmd_triples(cfg: CliConfig, args) -> int:
-    index = QIndex.from_sieve(_load_or_build(cfg))
-    triple = theorems.search_equal_triple(index, args.rank)
+def _cmd_triples(args) -> int:
+    q = _load_or_build(args)
+    triple = theorems.search_equal_triple(q, args.rank)
     payload = {"rank": args.rank,
                "triple": list(triple) if triple else None}
     if triple:
         a, b, c = triple
-        common = lop(index, a, b)
+        common = lop(q, a, b)
         payload["product"] = common
         plain = [f"equal-product triple: ({a}, {b}, {c}), every pair gives {common}"]
     else:
         plain = [f"rank {args.rank}: no equal-product triple"]
-    _emit(cfg, payload, plain)
+    _emit(args, payload, plain)
     return EXIT_FINDING if triple else EXIT_OK
 
 
-def _cmd_bertrand(cfg: CliConfig, args) -> int:
-    index = QIndex.from_sieve(_load_or_build(cfg))
-    failures = theorems.scan_bertrand(index, args.lo, args.hi)
+def _cmd_bertrand(args) -> int:
+    q = _load_or_build(args)
+    failures = theorems.scan_bertrand(q, args.lo, args.hi)
     real = [n for n in failures if n >= 5]
     payload = {"from": args.lo, "to": args.hi, "failures": failures,
                "failures_from_5": real}
@@ -439,13 +431,13 @@ def _cmd_bertrand(cfg: CliConfig, args) -> int:
         plain.append(f"counterexamples at n >= 5: "
                      f"{', '.join(str(n) for n in real)}")
     csv_rows = [["n"]] + [[n] for n in failures]
-    _emit(cfg, payload, plain, csv_rows)
+    _emit(args, payload, plain, csv_rows)
     return EXIT_FINDING if real else EXIT_OK
 
 
-def _cmd_census(cfg: CliConfig, args) -> int:
-    sieve = _load_or_build(cfg)
-    result = analytics.digit_census(sieve, args.max)
+def _cmd_census(args) -> int:
+    q = _load_or_build(args)
+    result = analytics.digit_census(q, args.max)
     total = sum(result.counts.values())
     payload = {"limit": result.limit,
                "counts": {str(d): result.counts[d] for d in range(10)},
@@ -456,13 +448,13 @@ def _cmd_census(cfg: CliConfig, args) -> int:
     plain.append(f"total {total}; modeled digit-1 count "
                  f"{result.digit1_target:.3f}")
     csv_rows = [["digit", "count"]] + [[d, result.counts[d]] for d in range(10)]
-    _emit(cfg, payload, plain, csv_rows)
+    _emit(args, payload, plain, csv_rows)
     return EXIT_OK
 
 
-def _cmd_density(cfg: CliConfig, args) -> int:
-    sieve = _load_or_build(cfg)
-    rows = analytics.density_table(sieve, args.checkpoints)
+def _cmd_density(args) -> int:
+    q = _load_or_build(args)
+    rows = analytics.density_table(q, args.checkpoints)
     payload = {"target": analytics.DENSITY_TARGET,
                "rows": [{"n": r.n, "sp_count": r.sp_count, "ratio": r.ratio,
                          "target": r.target, "abs_error": r.abs_error}
@@ -472,17 +464,17 @@ def _cmd_density(cfg: CliConfig, args) -> int:
     csv_rows = [["n", "sp_count", "ratio", "target", "abs_error"]]
     csv_rows += [[r.n, r.sp_count, repr(r.ratio), repr(r.target),
                   repr(r.abs_error)] for r in rows]
-    _emit(cfg, payload, plain, csv_rows)
+    _emit(args, payload, plain, csv_rows)
     return EXIT_OK
 
 
-def _cmd_zeta(cfg: CliConfig, args) -> int:
+def _cmd_zeta(args) -> int:
     ev = analytics.hurwitz_zeta2(args.a)
     payload = {"a": ev.a, "value": ev.value,
                "abs_error_bound": ev.abs_error_bound, "terms": ev.terms}
     plain = [f"zeta(2, {ev.a}) = {ev.value!r} "
              f"(error bound {ev.abs_error_bound:.2e}, {ev.terms} summed terms)"]
-    _emit(cfg, payload, plain)
+    _emit(args, payload, plain)
     return EXIT_OK
 
 
@@ -493,10 +485,10 @@ def _check(name: str, ok: bool, detail: str) -> dict:
     return {"name": name, "ok": bool(ok), "detail": detail}
 
 
-def _suite_axioms(cfg, args, sieve, index):
-    rank = args.rank if args.rank is not None else sieve.sp_count(
-        min(2000, cfg.limit))
-    table = cayley_table(index, rank)
+def _suite_axioms(args, q):
+    rank = args.rank if args.rank is not None else q.sp_count(
+        min(2000, q.limit))
+    table = cayley_table(q, rank)
     m = np.asarray(table.members, dtype=np.int64)
     t = table.entries
     checks = []
@@ -518,25 +510,27 @@ def _suite_axioms(cfg, args, sieve, index):
     return checks
 
 
-def _suite_lemma1(cfg, args, sieve, index):
+def _suite_lemma1(args, q):
     checks = []
     n_max = args.n_max
     if n_max is None:
         # find_gap_run(n) needs a run of length n, so the default stops at
         # the longest run; an explicit --n-max past it is a capacity error.
-        longest = theorems.longest_gap_run(index)
+        longest = theorems.longest_gap_run(q)
         n_max = min(25, longest.length)
         if n_max < 25:
             checks.append(_check(
                 "default_n_max", True,
                 f"--n-max capped at {n_max} (default 25): the longest "
-                f"SP-free run below limit {index.limit} is {longest.length} "
+                f"SP-free run below limit {q.limit} is {longest.length} "
                 f"non-SP numbers from {longest.start}"))
+    elif n_max < 1:
+        raise DomainError(f"need --n-max >= 1, got {n_max}")
     for n in range(1, n_max + 1):
-        run = theorems.find_gap_run(index, n)
+        run = theorems.find_gap_run(q, n)
         lo, hi = run.start, run.start + run.length
-        interior_clear = not sieve.flags[lo:hi].any()
-        bounded = (lo == 1 or bool(sieve.flags[lo - 1])) and bool(sieve.flags[hi])
+        interior_clear = not q.flags[lo:hi].any()
+        bounded = (lo == 1 or bool(q.flags[lo - 1])) and bool(q.flags[hi])
         ok = run.length >= n and interior_clear and bounded
         checks.append(_check(
             f"run_{n}", ok,
@@ -544,7 +538,9 @@ def _suite_lemma1(cfg, args, sieve, index):
     return checks
 
 
-def _ap_chain_checks(cfg, args, sieve, index, *, dual_route: bool):
+def _ap_chain_checks(args, q, *, dual_route: bool):
+    if args.length is not None and args.length < 2:
+        raise DomainError(f"need --length >= 2, got {args.length}")
     max_len = args.length if args.length is not None else 4
     bound = args.bound if args.bound is not None else 200
     square = args.square if args.square is not None else 2
@@ -552,7 +548,7 @@ def _ap_chain_checks(cfg, args, sieve, index, *, dual_route: bool):
     for n in range(2, max_len + 1):
         primes = theorems.find_prime_ap(n, bound)
         ap = theorems.construct_sp_ap(primes, square)
-        if args.length is None and ap.terms[-1] > index.limit:
+        if args.length is None and ap.terms[-1] > q.limit:
             # The least last term never shrinks as the length grows, so no
             # longer default progression fits either; an explicit --length
             # past the limit is a capacity error.
@@ -560,11 +556,11 @@ def _ap_chain_checks(cfg, args, sieve, index, *, dual_route: bool):
                 "default_length", True,
                 f"--length capped at {n - 1} (default {max_len}): the "
                 f"length-{n} progression {ap.terms} passes limit "
-                f"{index.limit}"))
+                f"{q.limit}"))
             break
-        value = theorems.verify_bullet_chain(index, ap)
+        value = theorems.verify_bullet_chain(q, ap)
         if dual_route:
-            via = index.successor(ap.common_difference)
+            via = q.successor(ap.common_difference)
             checks.append(_check(
                 f"chain_{n}", value == via,
                 f"terms {ap.terms}: chain value {value}, successor of "
@@ -577,18 +573,18 @@ def _ap_chain_checks(cfg, args, sieve, index, *, dual_route: bool):
     return checks
 
 
-def _suite_lemma2(cfg, args, sieve, index):
-    return _ap_chain_checks(cfg, args, sieve, index, dual_route=False)
+def _suite_lemma2(args, q):
+    return _ap_chain_checks(args, q, dual_route=False)
 
 
-def _suite_theorem2(cfg, args, sieve, index):
-    return _ap_chain_checks(cfg, args, sieve, index, dual_route=True)
+def _suite_theorem2(args, q):
+    return _ap_chain_checks(args, q, dual_route=True)
 
 
-def _suite_lemma3(cfg, args, sieve, index):
+def _suite_lemma3(args, q):
     lo = args.lo if args.lo is not None else 1
-    hi = args.hi if args.hi is not None else min(10**6, cfg.limit // 2)
-    failures = theorems.scan_bertrand(index, lo, hi)
+    hi = args.hi if args.hi is not None else min(10**6, q.limit // 2)
+    failures = theorems.scan_bertrand(q, lo, hi)
     real = [n for n in failures if n >= 5]
     small = [n for n in failures if n < 5]
     checks = [_check(
@@ -599,9 +595,9 @@ def _suite_lemma3(cfg, args, sieve, index):
     return checks
 
 
-def _suite_lemma4(cfg, args, sieve, index):
-    t_max = args.t_max if args.t_max is not None else min(10**6, cfg.limit // 2)
-    violation = theorems.check_adjacency(index, t_max)
+def _suite_lemma4(args, q):
+    t_max = args.t_max if args.t_max is not None else min(10**6, q.limit // 2)
+    violation = theorems.check_adjacency(q, t_max)
     checks = [_check(
         "adjacency", violation is None,
         f"t <= {t_max}: "
@@ -609,49 +605,50 @@ def _suite_lemma4(cfg, args, sieve, index):
     return checks
 
 
-def _suite_theorem1(cfg, args, sieve, index):
+def _suite_theorem1(args, q):
     checks = []
     q_max = args.q_max
     if q_max is None:
-        # fixed_point(q) needs a gap of width q, so the default stops at
+        # fixed_point(b) needs a gap of width b, so the default stops at
         # the widest gap; an explicit --q-max past it is a capacity error.
-        w = index.widest_gap()
-        widest = int(index.gaps[w])
+        w = q.widest_gap()
+        widest = int(q.gaps[w])
         q_max = min(100, widest)
-        e = index.elements
+        e = q.elements
         left_out = e[(e > q_max) & (e <= 100)]
         if left_out.size:
             checks.append(_check(
                 "default_q_max", True,
                 f"--q-max capped at the widest gap {widest} "
                 f"({int(e[w])} -> {int(e[w + 1])}): members "
-                f"{', '.join(str(int(q)) for q in left_out)} have no fixed "
-                f"point above them below limit {index.limit}"))
-    qs = [int(q) for q in index.elements[index.elements <= q_max]]
-    for q in qs:
-        a = fixed_point(index, q)
+                f"{', '.join(str(v) for v in left_out.tolist())} have no fixed "
+                f"point above them below limit {q.limit}"))
+    elif q_max < 1:
+        raise DomainError(f"need --q-max >= 1, got {q_max}")
+    for b in q.elements[q.elements <= q_max].tolist():
+        a = fixed_point(q, b)
         checks.append(_check(
-            f"fixed_point_{q}", lop(index, a, q) == a,
-            f"{a} • {q} = {a}"))
+            f"fixed_point_{b}", lop(q, a, b) == a,
+            f"{a} • {b} = {a}"))
     return checks
 
 
-def _suite_theorem3(cfg, args, sieve, index):
-    rank = args.rank if args.rank is not None else sieve.sp_count(
-        min(2000, cfg.limit))
-    triple = theorems.search_equal_triple(index, rank)
+def _suite_theorem3(args, q):
+    rank = args.rank if args.rank is not None else q.sp_count(
+        min(2000, q.limit))
+    triple = theorems.search_equal_triple(q, rank)
     if triple is None:
         detail = f"rank {rank}: no equal-product triple"
     else:
         a, b, c = triple
         detail = (f"rank {rank}: counterexample ({a}, {b}, {c}) with "
-                  f"common product {lop(index, a, b)}")
+                  f"common product {lop(q, a, b)}")
     return [_check("no_equal_triple", triple is None, detail)]
 
 
-def _suite_theorem4(cfg, args, sieve, index):
-    bound = args.max if args.max is not None else min(10**5, cfg.limit)
-    violation = theorems.check_twin_shift(index, bound)
+def _suite_theorem4(args, q):
+    bound = args.max if args.max is not None else min(10**5, q.limit)
+    violation = theorems.check_twin_shift(q, bound)
     if violation is None:
         detail = f"twins up to {bound}: products stay equal or adjacent"
     else:
@@ -673,18 +670,17 @@ SUITES = {
 }
 
 
-def _cmd_verify(cfg: CliConfig, args) -> int:
+def _cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    sieve = _load_or_build(cfg)
-    index = QIndex.from_sieve(sieve)
+    q = _load_or_build(args)
     suites_out = []
     all_ok = True
     for name in names:
-        checks = SUITES[name](cfg, args, sieve, index)
+        checks = SUITES[name](args, q)
         ok = all(c["ok"] for c in checks)
         all_ok = all_ok and ok
         suites_out.append({"suite": name, "ok": ok, "checks": checks})
-    payload = {"limit": cfg.limit, "ok": all_ok, "suites": suites_out}
+    payload = {"limit": q.limit, "ok": all_ok, "suites": suites_out}
     plain = []
     csv_rows = [["suite", "check", "ok", "detail"]]
     for s in suites_out:
@@ -694,7 +690,7 @@ def _cmd_verify(cfg: CliConfig, args) -> int:
             csv_rows.append([s["suite"], c["name"], c["ok"], c["detail"]])
         plain.append(f"suite {s['suite']}: "
                      + ("verified" if s["ok"] else "FOUND A COUNTEREXAMPLE"))
-    _emit(cfg, payload, plain, csv_rows)
+    _emit(args, payload, plain, csv_rows)
     return EXIT_OK if all_ok else EXIT_FINDING
 
 
@@ -702,21 +698,18 @@ def dispatch(argv: list[str]) -> int:
     """Parse argv, run the subcommand, and return the exit code."""
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        # The global flags default to SUPPRESS, so the subparsers' copies of
+        # them leave these values alone unless the flag is given.
+        args = parser.parse_args(argv, argparse.Namespace(
+            limit=DEFAULT_LIMIT, cache=None, format="json", verbose=False))
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
-    cfg = CliConfig(
-        limit=getattr(args, "limit", DEFAULT_LIMIT),
-        cache=getattr(args, "cache", None),
-        format=getattr(args, "format", "json"),
-        verbose=getattr(args, "verbose", False),
-    )
-    if cfg.limit < 8:
+    if args.limit < 8:
         print(f"--limit must be at least 8 (the first SP number), got "
-              f"{cfg.limit}", file=sys.stderr)
+              f"{args.limit}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return args.handler(cfg, args)
+        return args.handler(args)
     except ChainBrokenError as exc:
         print(f"chain broken at position {exc.position}, pair {exc.pair}: "
               f"{exc}", file=sys.stderr)
@@ -736,4 +729,8 @@ def dispatch(argv: list[str]) -> int:
 
 
 def main() -> None:
+    if hasattr(signal, "SIGPIPE"):
+        # A reader that closes stdout early (``sploop list | head``) ends the
+        # run quietly, as it does for coreutils.
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(dispatch(sys.argv[1:]))

@@ -1,4 +1,11 @@
-"""Bulk SP generation, counting, and the successor index realizing N(x).
+"""Bulk SP generation and the one object that answers every question on Q.
+
+``QIndex`` holds Q, 1 followed by every SP <= limit in ascending order,
+and answers counts, N(x) and the other order queries from that array.
+``SpSieve`` is a ``QIndex`` made by the sieve: it adds the flag per
+number, ``is_sp`` and the cache file, and lists its members from the
+flags the first time they are read. ``build_sieve`` and ``load_cache``
+return one; no second object is needed to query it.
 
 The sieve is k-major: primes p <= limit/4 are sieved once, then one flat
 pass over k from 2 up to sqrt(limit/2) marks every product p * k**2 within
@@ -6,11 +13,11 @@ range. Uniqueness of the prime-times-square decomposition means each SP
 number is marked exactly once, so the pass needs no segments or locks.
 
 Memory cost: one byte per number in [0, limit] for the flags (numpy bool),
-8 bytes per SP for the sorted members once a count or an index asks for
-them, and 8 more for their gaps once a gap question is asked. The build also
-holds the primes <= limit/4 and their products with 4, 8 bytes each. The
-cache file stores one bit per number. A 10**8 build peaks near 125 MB and
-takes 12.5 MB on disk.
+8 bytes per SP for the sorted members once a query asks for them, and 8
+more for their gaps once a gap question is asked. The build also holds
+the primes <= limit/4 and their products with 4, 8 bytes each. The cache
+file stores one bit per number. A 10**8 build peaks near 125 MB and takes
+12.5 MB on disk.
 """
 
 from __future__ import annotations
@@ -63,16 +70,168 @@ def _estimate_build_bytes(limit: int) -> int:
     return max(limit + 1, pmax + 1) + 2 * primes + (1 << 20)
 
 
-class SpSieve:
-    """Flags over [0, limit] with flag i set iff i is SP, and the members of
-    Q listed from them (``elements``), which answer every count."""
+def _successor_beyond(x: int) -> int:
+    """N(x), x >= 1: the first ``spcore.is_sp`` hit above x while primality
+    is certified (below 2**64), else 2x. 2x is a proven bound: by Bertrand's
+    postulate a prime p lies in (x/4, x/2], and 4p in (x, 2x] is SP."""
+    return next((n for n in range(x + 1, 1 << 64) if spcore.is_sp(n)), 2 * x)
 
-    __slots__ = ("limit", "flags", "_elements")
+
+class QIndex:
+    """Sorted members of Q (1 followed by every SP <= limit) with counts and
+    order queries.
+
+    ``gaps`` and the record gaps behind ``first_gap_at_least`` are computed
+    on first use and kept: a caller that never asks a gap question never
+    pays their memory (8 bytes per element). ``elements`` is a property,
+    which ``SpSieve`` fills on first use, so each query reads it once.
+    """
+
+    __slots__ = ("limit", "_elements", "_gaps", "_records")
+
+    def __init__(self, limit: int, elements: np.ndarray | None):
+        self.limit = limit
+        self._elements = elements
+        self._gaps = None
+        self._records = None
+
+    @property
+    def elements(self) -> np.ndarray:
+        """1 followed by every SP <= limit, ascending."""
+        return self._elements
+
+    @staticmethod
+    def from_sieve(sieve: SpSieve) -> QIndex:
+        """The sieve itself, which is already an index, with its members
+        listed now instead of at its first query."""
+        sieve.elements  # the first read lists them
+        return sieve
+
+    def _check_range(self, n: int) -> None:
+        """Refuse n outside [0, limit]: DomainError below 0, CapacityError
+        with ``required=n`` above the limit."""
+        if n < 0:
+            raise DomainError(f"need n >= 0, got {n}")
+        if n > self.limit:
+            raise CapacityError(
+                f"{n} exceeds the limit {self.limit}; rebuild with limit >= {n}",
+                required=n,
+            )
+
+    def sp_count(self, n: int) -> int:
+        """Number of SP numbers <= n (inclusive), by binary search.
+
+        The inclusive convention is deliberate and documented: counts at a
+        checkpoint include the checkpoint itself when it is SP.
+        """
+        self._check_range(n)
+        return int(np.searchsorted(self.elements[1:], n, side="right"))
+
+    @property
+    def gaps(self) -> np.ndarray:
+        """``np.diff(elements)``: gaps[i] = elements[i+1] - elements[i]."""
+        if self._gaps is None:
+            self._gaps = np.diff(self.elements)
+        return self._gaps
+
+    def _record_gaps(self) -> tuple[np.ndarray, np.ndarray]:
+        """Positions where the running maximum of ``gaps`` rises, and the
+        gaps there, which strictly increase. The first i with gaps[i] >= w
+        is always one of these positions."""
+        if self._records is None:
+            gaps = self.gaps
+            running = np.maximum.accumulate(gaps)
+            rising = np.ones(gaps.size, dtype=bool)
+            np.greater(running[1:], running[:-1], out=rising[1:])
+            where = np.flatnonzero(rising)
+            self._records = (where, gaps[where])
+        return self._records
+
+    def first_gap_at_least(self, w: int) -> int | None:
+        """Least i with gaps[i] >= w, or None when no gap is that wide."""
+        where, widths = self._record_gaps()
+        k = int(np.searchsorted(widths, w))
+        return int(where[k]) if k < where.size else None
+
+    def widest_gap(self) -> int | None:
+        """Least i where gaps[i] is largest, or None when there are no gaps."""
+        where, _ = self._record_gaps()
+        return int(where[-1]) if where.size else None
+
+    def __len__(self) -> int:
+        return len(self.elements)
+
+    @property
+    def max_element(self) -> int:
+        return int(self.elements[-1])
+
+    def contains(self, x: int) -> bool:
+        """Membership in Q, restricted to the indexed range."""
+        if x < 1 or x > self.limit:
+            return False
+        elements = self.elements
+        i = int(np.searchsorted(elements, x))
+        return i < len(elements) and int(elements[i]) == x
+
+    def successor(self, x: int) -> int:
+        """N(x): the smallest element of Q strictly greater than x."""
+        if x < 0:
+            raise DomainError(f"need x >= 0, got {x}")
+        elements = self.elements
+        if x >= int(elements[-1]):
+            raise CapacityError(
+                f"successor({x}) is beyond the largest indexed element "
+                f"{int(elements[-1])}; rebuild with a larger limit",
+                required=_successor_beyond(x),
+            )
+        return int(elements[np.searchsorted(elements, x, side="right")])
+
+    def successor_many(self, xs: np.ndarray) -> np.ndarray:
+        """Vectorized successor over a non-negative int array."""
+        if xs.size and int(xs.min()) < 0:
+            raise DomainError("successor_many needs non-negative inputs")
+        if xs.size and int(xs.max()) >= self.max_element:
+            raise CapacityError(
+                f"successor of {int(xs.max())} is beyond the largest indexed "
+                f"element {self.max_element}",
+                required=_successor_beyond(int(xs.max())),
+            )
+        return self.elements[np.searchsorted(self.elements, xs, side="right")]
+
+    def predecessor(self, x: int) -> int:
+        """The largest element of Q strictly below x (x >= 2)."""
+        if x <= 1:
+            raise DomainError(f"no Q element below {x}")
+        if x > self.limit + 1:
+            raise CapacityError(
+                f"predecessor({x}) is not covered by limit {self.limit}",
+                required=x,
+            )
+        elements = self.elements
+        return int(elements[np.searchsorted(elements, x, side="left") - 1])
+
+    def nth_sp(self, r: int) -> int:
+        """The r-th SP number, r >= 1 (the identity 1 is not counted)."""
+        if r < 1:
+            raise DomainError(f"need r >= 1, got {r}")
+        elements = self.elements
+        if r >= len(elements):
+            raise CapacityError(
+                f"index holds only {len(elements) - 1} SP numbers, "
+                f"asked for number {r}"
+            )
+        return int(elements[r])
+
+
+class SpSieve(QIndex):
+    """A ``QIndex`` made by the sieve: flags over [0, limit] with flag i set
+    iff i is SP, from which the members are listed on first use."""
+
+    __slots__ = ("flags",)
 
     def __init__(self, limit: int, flags: np.ndarray):
-        self.limit = limit
+        super().__init__(limit, None)
         self.flags = flags
-        self._elements = None
 
     @property
     def elements(self) -> np.ndarray:
@@ -91,33 +250,16 @@ class SpSieve:
             self._elements = elements
         return self._elements
 
-    def _check_range(self, n: int) -> None:
-        if n < 0:
-            raise DomainError(f"need n >= 0, got {n}")
-        if n > self.limit:
-            raise CapacityError(
-                f"n={n} exceeds sieve limit {self.limit}; rebuild with limit >= {n}",
-                required=n,
-            )
-
     def is_sp(self, n: int) -> bool:
         """Flag lookup; raises when n is outside the sieved range."""
         self._check_range(n)
         return bool(self.flags[n])
 
-    def sp_count(self, n: int) -> int:
-        """Number of SP numbers <= n (inclusive), by binary search.
-
-        The inclusive convention is deliberate and documented: counts at a
-        checkpoint include the checkpoint itself when it is SP.
-        """
-        self._check_range(n)
-        return int(np.searchsorted(self.elements[1:], n, side="right"))
-
     # -- cache -----------------------------------------------------------
 
     def save(self, path) -> None:
-        """Write the cache file (see module docstring for the layout)."""
+        """Write the v1 cache file: a 16-byte header (magic, version,
+        limit), one bit per number in [0, limit], then the payload's CRC-32."""
         payload = np.packbits(self.flags, bitorder="little").tobytes()
         blob = (
             _HEADER.pack(CACHE_MAGIC, CACHE_VERSION, self.limit)
@@ -137,7 +279,7 @@ class SpSieve:
             raise
 
     @classmethod
-    def load(cls, path) -> "SpSieve":
+    def load(cls, path) -> SpSieve:
         """Read a cache file, rejecting malformed input with distinct errors."""
         data = np.fromfile(path, dtype=np.uint8)
         magic = data[:4].tobytes()
@@ -191,125 +333,3 @@ def build_sieve(limit: int, *, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> Sp
         kk = k * k
         flags[primes[: np.searchsorted(primes, limit // kk, side="right")] * kk] = True
     return SpSieve(limit, flags)
-
-
-def _successor_beyond(x: int) -> int:
-    """N(x), x >= 1: the first ``spcore.is_sp`` hit above x while primality
-    is certified (below 2**64), else 2x. 2x is a proven bound: by Bertrand's
-    postulate a prime p lies in (x/4, x/2], and 4p in (x, 2x] is SP."""
-    return next((n for n in range(x + 1, 1 << 64) if spcore.is_sp(n)), 2 * x)
-
-
-class QIndex:
-    """Sorted members of Q (1 followed by every SP <= limit) with order queries.
-
-    ``gaps`` and the record gaps behind ``first_gap_at_least`` are computed
-    on first use and kept: a caller that never asks a gap question never
-    pays their memory (8 bytes per element).
-    """
-
-    __slots__ = ("limit", "elements", "_gaps", "_records")
-
-    def __init__(self, limit: int, elements: np.ndarray):
-        self.limit = limit
-        self.elements = elements
-        self._gaps = None
-        self._records = None
-
-    @property
-    def gaps(self) -> np.ndarray:
-        """``np.diff(elements)``: gaps[i] = elements[i+1] - elements[i]."""
-        if self._gaps is None:
-            self._gaps = np.diff(self.elements)
-        return self._gaps
-
-    def _record_gaps(self) -> tuple[np.ndarray, np.ndarray]:
-        """Positions where the running maximum of ``gaps`` rises, and the
-        gaps there, which strictly increase. The first i with gaps[i] >= w
-        is always one of these positions."""
-        if self._records is None:
-            gaps = self.gaps
-            running = np.maximum.accumulate(gaps)
-            rising = np.ones(gaps.size, dtype=bool)
-            np.greater(running[1:], running[:-1], out=rising[1:])
-            where = np.flatnonzero(rising)
-            self._records = (where, gaps[where])
-        return self._records
-
-    def first_gap_at_least(self, w: int) -> int | None:
-        """Least i with gaps[i] >= w, or None when no gap is that wide."""
-        where, widths = self._record_gaps()
-        k = int(np.searchsorted(widths, w))
-        return int(where[k]) if k < where.size else None
-
-    def widest_gap(self) -> int | None:
-        """Least i where gaps[i] is largest, or None when there are no gaps."""
-        where, _ = self._record_gaps()
-        return int(where[-1]) if where.size else None
-
-    @classmethod
-    def from_sieve(cls, sieve: SpSieve) -> "QIndex":
-        """Wrap ``sieve.elements``; the index shares it, with no copy."""
-        return cls(sieve.limit, sieve.elements)
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    @property
-    def max_element(self) -> int:
-        return int(self.elements[-1])
-
-    def contains(self, x: int) -> bool:
-        """Membership in Q, restricted to the indexed range."""
-        if x < 1 or x > self.limit:
-            return False
-        i = int(np.searchsorted(self.elements, x))
-        return i < len(self.elements) and int(self.elements[i]) == x
-
-    def successor(self, x: int) -> int:
-        """N(x): the smallest element of Q strictly greater than x."""
-        if x < 0:
-            raise DomainError(f"need x >= 0, got {x}")
-        if x >= self.max_element:
-            raise CapacityError(
-                f"successor({x}) is beyond the largest indexed element "
-                f"{self.max_element}; rebuild with a larger limit",
-                required=_successor_beyond(x),
-            )
-        i = int(np.searchsorted(self.elements, x, side="right"))
-        return int(self.elements[i])
-
-    def successor_many(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized successor over a non-negative int array."""
-        if xs.size and int(xs.min()) < 0:
-            raise DomainError("successor_many needs non-negative inputs")
-        if xs.size and int(xs.max()) >= self.max_element:
-            raise CapacityError(
-                f"successor of {int(xs.max())} is beyond the largest indexed "
-                f"element {self.max_element}",
-                required=_successor_beyond(int(xs.max())),
-            )
-        return self.elements[np.searchsorted(self.elements, xs, side="right")]
-
-    def predecessor(self, x: int) -> int:
-        """The largest element of Q strictly below x (x >= 2)."""
-        if x <= 1:
-            raise DomainError(f"no Q element below {x}")
-        if x > self.limit + 1:
-            raise CapacityError(
-                f"predecessor({x}) is not covered by limit {self.limit}",
-                required=x,
-            )
-        i = int(np.searchsorted(self.elements, x, side="left"))
-        return int(self.elements[i - 1])
-
-    def nth_sp(self, r: int) -> int:
-        """The r-th SP number, r >= 1 (the identity 1 is not counted)."""
-        if r < 1:
-            raise DomainError(f"need r >= 1, got {r}")
-        if r >= len(self.elements):
-            raise CapacityError(
-                f"index holds only {len(self.elements) - 1} SP numbers, "
-                f"asked for number {r}"
-            )
-        return int(self.elements[r])

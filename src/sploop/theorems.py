@@ -109,9 +109,7 @@ def gap_pairs(index: QIndex, g: int, limit: int) -> list[SpPair]:
     if g < 1:
         raise DomainError(f"need gap g >= 1, got {g}")
     if limit > index.limit:
-        raise CapacityError(
-            f"limit {limit} exceeds the index limit {index.limit}", required=limit
-        )
+        index._check_range(limit)
     elements = index.elements
     # gaps[0] leads from 1 to the first SP; pairs are gaps[1 : m - 1].
     m = int(np.searchsorted(elements, limit, side="right"))
@@ -213,10 +211,7 @@ def verify_bullet_chain(index: QIndex, ap: SpAp) -> int:
     if len(terms) < 2:
         raise DomainError("need at least two terms to evaluate the chain")
     if max(terms) > index.limit:
-        raise CapacityError(
-            f"term {max(terms)} exceeds the index limit {index.limit}",
-            required=max(terms),
-        )
+        index._check_range(max(terms))
     values = [lop(index, a, b) for a, b in zip(terms, terms[1:])]
     for i, v in enumerate(values[1:], start=1):
         if v != values[0]:
@@ -329,9 +324,7 @@ def check_twin_shift(
     largest repeated value.
     """
     if limit > index.limit:
-        raise CapacityError(
-            f"limit {limit} exceeds the index limit {index.limit}", required=limit
-        )
+        index._check_range(limit)
     repeated = _repeated_values(index)
     if repeated.size == 0:
         return None

@@ -4,9 +4,13 @@ import contextlib
 import io
 import json
 import os
+import signal
+import subprocess
+import sys
 
 import pytest
 
+import sploop
 from sploop import load_cache
 from sploop.cli import dispatch
 
@@ -224,6 +228,20 @@ class TestUsage:
     def test_bad_checkpoint_list(self):
         assert run("density", "--checkpoints", "10,zap", "--limit", "100")[0] == 2
 
+    def test_closed_stdout_pipe_ends_quietly(self):
+        src = os.path.dirname(os.path.dirname(sploop.__file__))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "sploop", "--limit", "1000000", "list",
+             "--format", "plain"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src})
+        assert proc.stdout.readline() == b"8\n"
+        proc.stdout.close()  # the list is far larger than the pipe buffer
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == -signal.SIGPIPE
+        assert "error:" not in err and "Traceback" not in err
+
 
 class TestDeterminismAndCache:
     def test_idempotent_output(self):
@@ -392,7 +410,20 @@ class TestVerifySuites:
         code, _, err = run("verify", "--suite", "theorem2", "--limit", "50",
                            "--length", "4")
         assert code == 3
-        assert "term 92 exceeds" in err
+        assert "92 exceeds the limit 50" in err and "(try --limit 92)" in err
+
+    @pytest.mark.parametrize("suite, option, value", [
+        ("lemma1", "--n-max", "0"),
+        ("theorem1", "--q-max", "0"),
+        ("lemma2", "--length", "1"),
+        ("theorem2", "--length", "1"),
+    ])
+    def test_explicit_bound_that_checks_nothing_is_a_usage_error(
+            self, suite, option, value):
+        code, out, err = run("verify", "--suite", suite, "--limit", "1000",
+                             option, value)
+        assert (code, out) == (2, "")
+        assert err == f"error: need {option} >= {int(value) + 1}, got {value}\n"
 
     def test_theorem1_explicit_q_max_past_widest_gap(self):
         code, _, err = run("verify", "--suite", "theorem1", "--limit",

@@ -19,12 +19,21 @@ from sploop import (
     CacheVersionError,
     CapacityError,
     DomainError,
+    MembershipError,
     QIndex,
+    SpAp,
     SpSieve,
     build_sieve,
+    check_twin_shift,
+    construct_sp_ap,
+    density_table,
+    digit_census,
+    gap_histogram,
+    gap_pairs,
     load_cache,
     save_cache,
     scan_bertrand,
+    verify_bullet_chain,
 )
 
 from sploop import sieve as sieve_module
@@ -224,6 +233,84 @@ class TestQIndex:
             n = index_1e4.nth_sp(r)
             assert sieve_1e4.sp_count(n) == r
             assert sieve_1e4.sp_count(n - 1) == r - 1
+
+
+class TestOneObject:
+    def test_builds_and_loads_are_indexes(self, tmp_path):
+        sieve = build_sieve(117)
+        assert isinstance(sieve, QIndex)
+        sieve.save(tmp_path / "q.spq")
+        assert isinstance(load_cache(tmp_path / "q.spq"), QIndex)
+
+    def test_from_sieve_returns_the_sieve_with_its_members_listed(self):
+        sieve = build_sieve(10**5)
+        tracemalloc.start()
+        try:
+            index = QIndex.from_sieve(sieve)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert index is sieve
+        assert held >= sieve.elements.nbytes
+
+    def test_queries_before_from_sieve_agree_with_it(self, tmp_path):
+        path = tmp_path / "q.spq"
+        build_sieve(2000).save(path)
+        big = build_sieve(5000)
+        makers = {
+            "build": lambda: build_sieve(2000),
+            "load": lambda: load_cache(path),
+            "trim": lambda: SpSieve(2000, big.flags[:2001]),
+        }
+        queries = {
+            "successor": [0, 1, 8, 117, 1990],
+            "predecessor": [2, 8, 9, 118, 2001],
+            "nth_sp": [1, 25, 307],
+            "contains": [0, 1, 7, 8, 117, 1996, 2000, 2001],
+        }
+        for kind, make in makers.items():
+            reference = QIndex.from_sieve(make())
+            for name, args in queries.items():
+                for x in args:
+                    # Each query is the first read of a fresh object's members.
+                    got = getattr(make(), name)(x)
+                    assert got == getattr(reference, name)(x), (kind, name, x)
+
+    def test_analytics_take_a_plain_index(self, sieve_1e4):
+        plain = QIndex(sieve_1e4.limit, sieve_1e4.elements.copy())
+        checkpoints = [100, 117, 10**4]
+        assert density_table(plain, checkpoints) == density_table(
+            sieve_1e4, checkpoints)
+        for limit in (0, 7, 117, 10**4):
+            assert digit_census(plain, limit) == digit_census(sieve_1e4, limit)
+
+    def test_bound_checks_keep_type_and_required(self, index_117):
+        over = construct_sp_ap((5, 11, 17, 23), 3)  # (45, 99, 153, 207)
+        capacity = [
+            (lambda: index_117.sp_count(118), 118),
+            (lambda: index_117.is_sp(118), 118),
+            (lambda: density_table(index_117, [100, 118]), 118),
+            (lambda: digit_census(index_117, 118), 118),
+            (lambda: gap_histogram(index_117, 118), 118),
+            (lambda: gap_pairs(index_117, 1, 118), 118),
+            (lambda: check_twin_shift(index_117, 118), 118),
+            (lambda: verify_bullet_chain(index_117, over), 207),
+        ]
+        for call, required in capacity:
+            with pytest.raises(CapacityError) as exc:
+                call()
+            assert exc.value.required == required
+        for call in (lambda: index_117.sp_count(-1),
+                     lambda: digit_census(index_117, -1),
+                     lambda: gap_histogram(index_117, -1)):
+            with pytest.raises(DomainError):
+                call()
+        # These check only the upper bound: a negative limit is an empty
+        # range, and negative terms fail as non-members.
+        assert gap_pairs(index_117, 1, -1) == []
+        assert check_twin_shift(index_117, -1) is None
+        with pytest.raises(MembershipError):
+            verify_bullet_chain(index_117, SpAp(terms=(-8, -4), common_difference=4))
 
 
 class TestCache:
