@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .sieve import QIndex
+from .sieve import QIndex, _rank
 
 DENSITY_TARGET = math.pi * math.pi / 6 - 1
 
@@ -121,6 +121,6 @@ def gap_histogram(index: QIndex, limit: int) -> dict[int, int]:
     """Counts of consecutive-SP gaps among SP numbers <= limit."""
     index._check_range(limit)
     # gaps[0] leads from 1 to the first SP; SP gaps are gaps[1 : m - 1].
-    m = int(np.searchsorted(index.elements, limit, side="right"))
+    m = _rank(index.elements, limit, "right")
     counts = np.bincount(index.gaps[1 : max(m - 1, 1)])
     return {int(g): int(counts[g]) for g in np.flatnonzero(counts)}

@@ -27,7 +27,7 @@ import time
 
 import numpy as np
 
-from . import analytics, theorems
+from . import analytics, spcore, theorems
 from .errors import (
     CacheError,
     CapacityError,
@@ -193,7 +193,8 @@ def _load_or_build(args) -> SpSieve:
                       file=sys.stderr)
             if cached.limit == args.limit:
                 return cached
-            return SpSieve(args.limit, cached.flags[: args.limit + 1])
+            kept = cached.elements[: cached.sp_count(args.limit) + 1]
+            return SpSieve._from_elements(args.limit, kept)
     started = time.monotonic()
     sieve = build_sieve(args.limit)
     if args.verbose:
@@ -527,10 +528,12 @@ def _suite_lemma1(args, q):
     elif n_max < 1:
         raise DomainError(f"need --n-max >= 1, got {n_max}")
     for n in range(1, n_max + 1):
+        # Checked by factorization, a route that shares nothing with the
+        # members the runs were read from.
         run = theorems.find_gap_run(q, n)
         lo, hi = run.start, run.start + run.length
-        interior_clear = not q.flags[lo:hi].any()
-        bounded = (lo == 1 or bool(q.flags[lo - 1])) and bool(q.flags[hi])
+        interior_clear = not any(spcore.is_sp(v) for v in range(lo, hi))
+        bounded = (lo == 1 or spcore.is_sp(lo - 1)) and spcore.is_sp(hi)
         ok = run.length >= n and interior_clear and bounded
         checks.append(_check(
             f"run_{n}", ok,
@@ -648,6 +651,17 @@ def _suite_theorem3(args, q):
 
 def _suite_theorem4(args, q):
     bound = args.max if args.max is not None else min(10**5, q.limit)
+    if args.max is not None:
+        if bound > q.limit:
+            q._check_range(bound)
+        twin = int(np.argmax(q.gaps == 1))  # the first gap-1 pair, if any
+        if q.gaps[twin] != 1:
+            raise CapacityError(
+                f"no twin pair below limit {q.limit}; a larger limit holds one")
+        first = int(q.elements[twin + 1])
+        if bound < first:
+            # No twin pair has both members <= bound, so nothing is checked.
+            raise DomainError(f"need --max >= {first}, got {bound}")
     violation = theorems.check_twin_shift(q, bound)
     if violation is None:
         detail = f"twins up to {bound}: products stay equal or adjacent"

@@ -94,7 +94,8 @@ def find_nonassoc_witness(index: QIndex, r: int) -> tuple[int, int, int] | None:
     """
     table = cayley_table(index, r)
     m = np.asarray(table.members, dtype=np.int64)
-    t = table.entries
+    # The entries come in the members' dtype; unsigned, m[i] - t would wrap.
+    t = table.entries.astype(np.int64)
     for i in range(len(m)):
         # left[b, c] = (m[i] • m[b]) • m[c];  right[b, c] = m[i] • (m[b] • m[c])
         left = index.successor_many(np.abs(t[i, :][:, None] - m[None, :]))

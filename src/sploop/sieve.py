@@ -2,22 +2,25 @@
 
 ``QIndex`` holds Q, 1 followed by every SP <= limit in ascending order,
 and answers counts, N(x) and the other order queries from that array.
-``SpSieve`` is a ``QIndex`` made by the sieve: it adds the flag per
-number, ``is_sp`` and the cache file, and lists its members from the
-flags the first time they are read. ``build_sieve`` and ``load_cache``
-return one; no second object is needed to query it.
+``SpSieve`` is a ``QIndex`` made by the sieve or read from the cache: it
+adds the flag per number, ``is_sp`` and the cache file. ``build_sieve``
+and ``load_cache`` return one; no second object is needed to query it.
 
-The sieve is k-major: primes p <= limit/4 are sieved once, then one flat
-pass over k from 2 up to sqrt(limit/2) marks every product p * k**2 within
-range. Uniqueness of the prime-times-square decomposition means each SP
-number is marked exactly once, so the pass needs no segments or locks.
+Q is built first. Every SP number has exactly one form p * k**2, so Q is
+1 together with the union of the arrays ``primes[:m] * k**2``, k from 2 up
+to sqrt(limit/2): the primes p <= limit/4 come from an odd-only sieve of
+Eratosthenes, one pass over k writes each product once into one array,
+and one in-place sort orders it. A cache load decodes the stored bits
+straight into the same array. The flags are made from the members only
+when something asks for them: ``save``, or a caller that reads ``flags``.
 
-Memory cost: one byte per number in [0, limit] for the flags (numpy bool),
-8 bytes per SP for the sorted members once a query asks for them, and 8
-more for their gaps once a gap question is asked. The build also holds
-the primes <= limit/4 and their products with 4, 8 bytes each. The cache
-file stores one bit per number. A 10**8 build peaks near 125 MB and takes
-12.5 MB on disk.
+Memory cost: 4 bytes per SP for the sorted members while limit < 2**32
+(8 past it), and as much again for their gaps once a gap question is
+asked. A build also holds the primes <= limit/4 (4 bytes each) and, while
+it sieves them, one byte per odd number up to limit/4. The flags, if
+asked for, take one byte per number in [0, limit]. The cache file stores
+one bit per number. A 10**8 build holds 18 MB of members, peaks near
+25 MB and takes 12.5 MB on disk; its flags would take 100 MB more.
 """
 
 from __future__ import annotations
@@ -45,29 +48,77 @@ CACHE_MAGIC = b"SPLQ"
 CACHE_VERSION = 1
 _HEADER = struct.Struct("<4sIQ")
 _CRC = struct.Struct("<I")
-_SLICE = 1 << 20  # flags per flatnonzero call when listing the members
+_SLICE = 1 << 17  # numbers per flatnonzero call when listing the members
+_SCATTER = 1 << 13  # members per fancy-index write when making the flags
 
 
-def _prime_sieve(n: int) -> np.ndarray:
-    """All primes <= n as an int64 array (ordinary sieve of Eratosthenes)."""
+def _member_dtype(limit: int) -> type:
+    """uint32 while every number up to limit fits in it, else int64."""
+    return np.uint32 if limit < 1 << 32 else np.int64
+
+
+def _rank(a: np.ndarray, x: int, side: str = "left") -> int:
+    """``a.searchsorted(x, side)`` for a sorted a and an int x, with x cast
+    to a's dtype first: numpy otherwise casts the whole of a to a common
+    dtype on every call (about 10 ms at 4.6M uint32 members). An x outside
+    the dtype's range ranks before or after all of a."""
+    try:
+        needle = a.dtype.type(x)
+    except OverflowError:
+        return 0 if x < 0 else a.size
+    return int(a.searchsorted(needle, side=side))
+
+
+def _prime_sieve(n: int, dtype: type = np.int64) -> np.ndarray:
+    """All primes <= n, ascending, by a sieve of Eratosthenes over the odd
+    numbers only: flag i stands for 2i + 1, so the mask is (n + 1) // 2
+    bytes."""
     if n < 2:
-        return np.empty(0, dtype=np.int64)
-    mask = np.ones(n + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return np.flatnonzero(mask).astype(np.int64)
+        return np.empty(0, dtype=dtype)
+    odd = np.ones((n + 1) // 2, dtype=bool)
+    odd[0] = False  # 1
+    for i in range(1, (math.isqrt(n) - 1) // 2 + 1):
+        if odd[i]:
+            p = 2 * i + 1
+            odd[p * p // 2 :: p] = False
+    hits = np.flatnonzero(odd)
+    del odd  # freed before the primes are allocated
+    primes = np.empty(1 + hits.size, dtype=dtype)
+    primes[0] = 2
+    np.multiply(hits, 2, out=primes[1:], casting="unsafe")
+    primes[1:] += 1
+    return primes
 
 
 def _estimate_build_bytes(limit: int) -> int:
-    """Bound on ``build_sieve``'s peak: the flags or the base-prime mask (never
-    alive together), each beside two prime-sized arrays (the primes and
-    their k = 2 products), plus 1 MiB of slack."""
+    """Bound on ``build_sieve``'s peak, the larger of its two phases plus
+    1 MiB of slack: the odd-only mask beside the int64 positions of its
+    primes and the primes themselves, then the primes beside the members
+    and the per-k arrays."""
     pmax = max(limit // 4, 2)
+    size = np.dtype(_member_dtype(limit)).itemsize
     # pi(x) < 1.25506 x / ln x for x > 1 (Rosser and Schoenfeld, 1962).
-    primes = int(1.3 * pmax / math.log(pmax)) * 8
-    return max(limit + 1, pmax + 1) + 2 * primes + (1 << 20)
+    primes = int(1.3 * pmax / math.log(pmax))
+    ks = np.arange(2, math.isqrt(limit // 2) + 1, dtype=np.float64)
+    x = limit / (ks * ks)  # >= 2 for every k, so each log is positive
+    members = 1 + ks.size + int((1.25506 * x / np.log(x)).sum())
+    sieving = (pmax + 1) // 2 + primes * (8 + size)
+    filling = (primes + members) * size + 4 * 8 * ks.size
+    return max(sieving, filling) + (1 << 20)
+
+
+def _list_members(limit: int, count: int, pieces) -> np.ndarray:
+    """1 followed by the positions of the set flags, ascending, as one
+    array of the member dtype. ``pieces`` yields (offset, bool array)
+    in ascending order, and holds ``count`` set flags in all."""
+    elements = np.empty(1 + count, dtype=_member_dtype(limit))
+    elements[0] = 1
+    at = 1
+    for lo, bits in pieces:
+        hits = np.flatnonzero(bits)
+        np.add(hits, lo, out=elements[at : at + hits.size], casting="unsafe")
+        at += hits.size
+    return elements
 
 
 def _successor_beyond(x: int) -> int:
@@ -83,8 +134,9 @@ class QIndex:
 
     ``gaps`` and the record gaps behind ``first_gap_at_least`` are computed
     on first use and kept: a caller that never asks a gap question never
-    pays their memory (8 bytes per element). ``elements`` is a property,
-    which ``SpSieve`` fills on first use, so each query reads it once.
+    pays their memory (as many bytes per element as the members). ``elements``
+    is a property, which ``SpSieve`` may fill on first use, so each query
+    reads it once.
     """
 
     __slots__ = ("limit", "_elements", "_gaps", "_records")
@@ -125,7 +177,7 @@ class QIndex:
         checkpoint include the checkpoint itself when it is SP.
         """
         self._check_range(n)
-        return int(np.searchsorted(self.elements[1:], n, side="right"))
+        return _rank(self.elements[1:], n, "right")
 
     @property
     def gaps(self) -> np.ndarray:
@@ -150,7 +202,7 @@ class QIndex:
     def first_gap_at_least(self, w: int) -> int | None:
         """Least i with gaps[i] >= w, or None when no gap is that wide."""
         where, widths = self._record_gaps()
-        k = int(np.searchsorted(widths, w))
+        k = _rank(widths, w)
         return int(where[k]) if k < where.size else None
 
     def widest_gap(self) -> int | None:
@@ -170,7 +222,7 @@ class QIndex:
         if x < 1 or x > self.limit:
             return False
         elements = self.elements
-        i = int(np.searchsorted(elements, x))
+        i = _rank(elements, x)
         return i < len(elements) and int(elements[i]) == x
 
     def successor(self, x: int) -> int:
@@ -184,7 +236,7 @@ class QIndex:
                 f"{int(elements[-1])}; rebuild with a larger limit",
                 required=_successor_beyond(x),
             )
-        return int(elements[np.searchsorted(elements, x, side="right")])
+        return int(elements[_rank(elements, x, "right")])
 
     def successor_many(self, xs: np.ndarray) -> np.ndarray:
         """Vectorized successor over a non-negative int array."""
@@ -196,7 +248,11 @@ class QIndex:
                 f"element {self.max_element}",
                 required=_successor_beyond(int(xs.max())),
             )
-        return self.elements[np.searchsorted(self.elements, xs, side="right")]
+        # Every x is now below the largest member, so it fits the members'
+        # dtype, and the cast touches the needles instead of the members.
+        elements = self.elements
+        return elements[elements.searchsorted(
+            xs.astype(elements.dtype, copy=False), side="right")]
 
     def predecessor(self, x: int) -> int:
         """The largest element of Q strictly below x (x >= 2)."""
@@ -208,7 +264,7 @@ class QIndex:
                 required=x,
             )
         elements = self.elements
-        return int(elements[np.searchsorted(elements, x, side="left") - 1])
+        return int(elements[_rank(elements, x) - 1])
 
     def nth_sp(self, r: int) -> int:
         """The r-th SP number, r >= 1 (the identity 1 is not counted)."""
@@ -224,36 +280,61 @@ class QIndex:
 
 
 class SpSieve(QIndex):
-    """A ``QIndex`` made by the sieve: flags over [0, limit] with flag i set
-    iff i is SP, from which the members are listed on first use."""
+    """A ``QIndex`` made by the sieve or read from the cache, which also
+    answers ``is_sp`` and writes the cache file.
 
-    __slots__ = ("flags",)
+    It holds one of two forms and derives the other on first use: the
+    members (how ``build_sieve`` and ``load`` make it), or flags over
+    [0, limit] with flag i set iff i is SP (how ``SpSieve(limit, flags)``
+    makes it).
+    """
+
+    __slots__ = ("_flags",)
 
     def __init__(self, limit: int, flags: np.ndarray):
         super().__init__(limit, None)
-        self.flags = flags
+        self._flags = flags
+
+    @classmethod
+    def _from_elements(cls, limit: int, elements: np.ndarray) -> SpSieve:
+        """A sieve over [0, limit] that holds only its members, Q up to limit."""
+        sieve = cls.__new__(cls)
+        QIndex.__init__(sieve, limit, elements)
+        sieve._flags = None
+        return sieve
 
     @property
     def elements(self) -> np.ndarray:
-        """1 followed by every SP <= limit, ascending int64, made from the
-        flags on first use and kept: a sieve that is only saved, loaded or
-        asked ``is_sp`` never holds it. Filled 1 MiB of flags at a time, so
-        making it needs little more memory than the array itself."""
+        """1 followed by every SP <= limit, ascending. A sieve made from
+        flags lists them on first use, a slice of flags at a time, so
+        listing needs little more memory than the array itself."""
         if self._elements is None:
-            elements = np.empty(1 + np.count_nonzero(self.flags), dtype=np.int64)
-            elements[0] = 1
-            at = 1
-            for lo in range(0, self.flags.size, _SLICE):
-                hits = np.flatnonzero(self.flags[lo : lo + _SLICE])
-                np.add(hits, lo, out=elements[at : at + hits.size])
-                at += hits.size
-            self._elements = elements
+            flags = self._flags
+            pieces = ((lo, flags[lo : lo + _SLICE])
+                      for lo in range(0, flags.size, _SLICE))
+            self._elements = _list_members(
+                self.limit, np.count_nonzero(flags), pieces)
         return self._elements
 
+    @property
+    def flags(self) -> np.ndarray:
+        """Bool per number in [0, limit], set iff the number is SP. A sieve
+        made from its members makes the flags on first use and keeps them,
+        writing a few thousand members at a time so the index temporaries
+        stay small."""
+        if self._flags is None:
+            flags = np.zeros(self.limit + 1, dtype=bool)
+            sps = self.elements[1:]  # 1 is in Q but is not SP
+            for lo in range(0, sps.size, _SCATTER):
+                flags[sps[lo : lo + _SCATTER]] = True
+            self._flags = flags
+        return self._flags
+
     def is_sp(self, n: int) -> bool:
-        """Flag lookup; raises when n is outside the sieved range."""
+        """Membership of n > 1 in Q, which never makes the flags; raises
+        when n is outside the sieved range."""
         self._check_range(n)
-        return bool(self.flags[n])
+        return n > 1 and self.contains(n)
 
     # -- cache -----------------------------------------------------------
 
@@ -302,8 +383,17 @@ class SpSieve(QIndex):
         (crc,) = _CRC.unpack_from(data, expected - _CRC.size)
         if zlib.crc32(payload) & 0xFFFFFFFF != crc:
             raise CacheChecksumError("payload CRC-32 mismatch")
-        bits = np.unpackbits(payload, count=limit + 1, bitorder="little")
-        return cls(limit, bits.view(bool))  # unpacked bits are 0 or 1
+        # Set bits of the last byte past the limit are padding, not members.
+        spare = 8 * payload_len - (limit + 1)
+        count = int(np.bitwise_count(payload).sum(dtype=np.int64))
+        count -= (int(payload[-1]) >> (8 - spare)).bit_count()
+        step = _SLICE // 8
+        pieces = (
+            (8 * lo, np.unpackbits(payload[lo : lo + step], count=min(
+                _SLICE, limit + 1 - 8 * lo), bitorder="little").view(bool))
+            for lo in range(0, payload_len, step)
+        )  # unpacked bits are 0 or 1; flatnonzero is twice as fast on bool
+        return cls._from_elements(limit, _list_members(limit, count, pieces))
 
 
 def save_cache(sieve: SpSieve, destination) -> None:
@@ -315,10 +405,12 @@ def load_cache(source) -> SpSieve:
 
 
 def build_sieve(limit: int, *, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> SpSieve:
-    """Sieve all SP numbers in [0, limit].
+    """Q up to limit: 1 and every SP number in [0, limit], as a sieve that
+    holds only its members.
 
-    One pass over k marks p * k**2 for every prime p <= limit // k**2, so
-    by uniqueness of the decomposition each SP is hit exactly once.
+    One pass over k writes p * k**2 for every prime p <= limit // k**2 into
+    one array, which one sort then orders. By uniqueness of the
+    decomposition each SP is written exactly once.
     """
     if limit < 1:
         raise DomainError(f"need limit >= 1, got {limit}")
@@ -327,9 +419,15 @@ def build_sieve(limit: int, *, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> Sp
         raise CapacityError(
             f"limit {limit} needs about {need} bytes, over the {memory_budget}-byte budget"
         )
-    primes = _prime_sieve(limit // 4)
-    flags = np.zeros(limit + 1, dtype=bool)
-    for k in range(2, math.isqrt(limit // 2) + 1):
-        kk = k * k
-        flags[primes[: np.searchsorted(primes, limit // kk, side="right")] * kk] = True
-    return SpSieve(limit, flags)
+    dtype = _member_dtype(limit)
+    primes = _prime_sieve(limit // 4, dtype)
+    ks = np.arange(2, math.isqrt(limit // 2) + 1, dtype=np.int64)
+    counts = primes.searchsorted((limit // (ks * ks)).astype(dtype), side="right")
+    elements = np.empty(1 + int(counts.sum()), dtype=dtype)
+    elements[0] = 1
+    at = 1
+    for k, m in zip(ks.tolist(), counts.tolist()):
+        np.multiply(primes[:m], k * k, out=elements[at : at + m])
+        at += m
+    elements.sort()
+    return SpSieve._from_elements(limit, elements)

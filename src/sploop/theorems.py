@@ -33,7 +33,7 @@ from .errors import (
     ValidationError,
 )
 from .loop_algebra import lop
-from .sieve import QIndex, _successor_beyond
+from .sieve import QIndex, _rank, _successor_beyond
 
 TRIPLE_RANK_BUDGET = 2000
 
@@ -112,7 +112,7 @@ def gap_pairs(index: QIndex, g: int, limit: int) -> list[SpPair]:
         index._check_range(limit)
     elements = index.elements
     # gaps[0] leads from 1 to the first SP; pairs are gaps[1 : m - 1].
-    m = int(np.searchsorted(elements, limit, side="right"))
+    m = _rank(elements, limit, "right")
     hits = 1 + np.flatnonzero(index.gaps[1 : max(m - 1, 1)] == g)
     return [
         SpPair(lo=int(elements[j]), hi=int(elements[j + 1]), gap=g) for j in hits
@@ -242,7 +242,7 @@ def search_equal_triple(index: QIndex, r: int) -> tuple[int, int, int] | None:
         raise CapacityError(
             f"rank {r} exceeds the {len(index.elements) - 1} indexed SP numbers"
         )
-    m = index.elements[: r + 1]
+    m = index.elements[: r + 1].astype(np.int64)  # a - b wraps if unsigned
     pair = index.successor_many(np.abs(m[:, None] - m[None, :]))
     s = len(m)
     for i in range(s - 2):
@@ -275,7 +275,7 @@ def scan_bertrand(index: QIndex, lo: int, hi: int) -> list[int]:
         )
     elements = index.elements
     failures: list[int] = []
-    m = min(int(np.searchsorted(elements, hi, side="right")), len(index.gaps))
+    m = min(_rank(elements, hi, "right"), len(index.gaps))
     for i in np.flatnonzero(index.gaps[:m] >= elements[:m]):
         nxt = int(elements[i + 1])
         a, b = max(int(elements[i]), lo), min(nxt - 1, nxt // 2, hi)
@@ -306,7 +306,7 @@ def check_adjacency(index: QIndex, t_max: int) -> int | None:
             f"largest indexed element is {index.max_element}",
             required=_successor_beyond(t_max + 1),
         )
-    ts = _repeated_values(index) - 1
+    ts = _repeated_values(index).astype(np.int64) - 1
     ts = ts[(ts >= 0) & (ts <= t_max)]
     return int(ts[0]) if ts.size else None
 

@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import sploop
-from sploop import load_cache
+from sploop import SpSieve, load_cache
 from sploop.cli import dispatch
 
 FIRST_25 = [8, 12, 18, 20, 27, 28, 32, 44, 45, 48, 50, 52, 63, 68,
@@ -443,6 +443,29 @@ class TestVerifySuites:
         code, payload = run_json("verify", "--suite", "theorem4",
                                  "--limit", "10000", "--max", "1000")
         assert code == 0
+
+    @pytest.mark.parametrize("value", ["-5", "0", "27"])
+    def test_theorem4_max_below_the_first_twin_is_a_usage_error(self, value):
+        argv = ("verify", "--suite", "theorem4", "--limit", "1000", "--max")
+        code, out, err = run(*argv, value)
+        assert (code, out) == (2, "")
+        assert err == f"error: need --max >= 28, got {value}\n"
+        assert run(*argv, "28")[0] == 0
+
+    def test_theorem4_max_without_a_twin_below_the_limit(self):
+        code, out, err = run("verify", "--suite", "theorem4", "--limit", "20",
+                             "--max", "20")
+        assert (code, out) == (3, "")
+        assert "no twin pair below limit 20" in err
+
+    def test_verify_all_never_builds_the_flags(self, monkeypatch):
+        def built(_sieve):
+            raise AssertionError("the flags were built")
+
+        monkeypatch.setattr(SpSieve, "flags", property(built))
+        code, payload = run_json("verify", "--suite", "all", "--limit", "10000")
+        assert code == 1
+        assert [s["suite"] for s in payload["suites"] if not s["ok"]] == ["theorem3"]
 
     def test_plain_output_lists_checks(self):
         code, out, _ = run("verify", "--suite", "axioms", "--limit", "10000",

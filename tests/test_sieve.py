@@ -24,22 +24,29 @@ from sploop import (
     SpAp,
     SpSieve,
     build_sieve,
+    cayley_table,
+    check_adjacency,
     check_twin_shift,
     construct_sp_ap,
     density_table,
     digit_census,
+    find_gap_run,
+    find_nonassoc_witness,
+    fixed_point,
     gap_histogram,
     gap_pairs,
+    is_sp,
     load_cache,
     save_cache,
     scan_bertrand,
+    search_equal_triple,
     verify_bullet_chain,
 )
 
 from sploop import sieve as sieve_module
-from sploop.sieve import _estimate_build_bytes
+from sploop.sieve import _estimate_build_bytes, _prime_sieve
 
-from _oracles import q_by_construction, sp_list_slow
+from _oracles import primes_upto, q_by_construction, sp_list_slow
 
 FIRST_25 = [8, 12, 18, 20, 27, 28, 32, 44, 45, 48, 50, 52, 63, 68,
             72, 75, 76, 80, 92, 98, 99, 108, 112, 116, 117]
@@ -243,7 +250,9 @@ class TestOneObject:
         assert isinstance(load_cache(tmp_path / "q.spq"), QIndex)
 
     def test_from_sieve_returns_the_sieve_with_its_members_listed(self):
-        sieve = build_sieve(10**5)
+        built = build_sieve(10**5)  # holds its members from the start
+        assert QIndex.from_sieve(built) is built
+        sieve = SpSieve(built.limit, built.flags)  # lists them on first use
         tracemalloc.start()
         try:
             index = QIndex.from_sieve(sieve)
@@ -311,6 +320,82 @@ class TestOneObject:
         assert check_twin_shift(index_117, -1) is None
         with pytest.raises(MembershipError):
             verify_bullet_chain(index_117, SpAp(terms=(-8, -4), common_difference=4))
+
+
+def outcome(call):
+    """A call's result, or its error type and ``required`` when it raises."""
+    try:
+        return "ok", call()
+    except CapacityError as exc:
+        return CapacityError, exc.required
+    except DomainError:
+        return DomainError, None
+
+
+class TestQFirst:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 9, 25, 49, 10**5, 10**5 + 1])
+    def test_odd_only_prime_sieve_matches_the_plain_sieve(self, n):
+        assert np.array_equal(_prime_sieve(n), primes_upto(n))
+
+    def test_members_are_uint32_below_two_to_the_32(self, index_1e7):
+        assert index_1e7.elements.dtype == np.uint32
+        assert np.array_equal(index_1e7.elements, q_by_construction(10**7))
+
+    def test_is_sp_leaves_the_flags_unbuilt(self):
+        sieve = build_sieve(10**6)
+        ns = (0, 1, 7, 8, 12, 117, 999_997, 10**6)
+        tracemalloc.start()
+        try:
+            answers = [sieve.is_sp(n) for n in ns]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert answers == [is_sp(n) for n in ns]
+        assert peak < sieve.limit // 10  # the flags would take limit + 1 bytes
+
+    def test_point_queries_never_copy_the_members(self, index_1e7):
+        q = index_1e7
+        q.first_gap_at_least(1)  # makes the gaps and their records, kept
+        calls = {
+            "successor": (q.limit // 2,),
+            "predecessor": (q.limit + 1,),
+            "contains": (q.limit // 3,),
+            "sp_count": (q.limit,),
+            "nth_sp": (1000,),
+            "first_gap_at_least": (100,),
+        }
+        for name, args in calls.items():
+            tracemalloc.start()
+            try:
+                getattr(q, name)(*args)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # A cast of the members would take 4.4 MB.
+            assert peak < 64 << 10, name
+
+    @pytest.mark.parametrize("limit", [8, 117, 2000, 10**5])
+    def test_uint32_members_answer_as_int64_members(self, limit):
+        narrow = build_sieve(limit)
+        wide = QIndex(limit, narrow.elements.astype(np.int64))
+        rank = min(len(narrow) - 1, 40)
+        qs = [int(v) for v in narrow.elements if v <= 250]
+        calls = [
+            lambda ix: scan_bertrand(ix, 1, limit // 2),
+            lambda ix: check_adjacency(ix, limit // 2),
+            lambda ix: check_twin_shift(ix, limit),
+            lambda ix: [gap_pairs(ix, g, limit) for g in range(1, 5)],
+            lambda ix: gap_pairs(ix, 1, -1),
+            lambda ix: gap_histogram(ix, limit),
+            lambda ix: digit_census(ix, limit),
+            lambda ix: [outcome(lambda: fixed_point(ix, q)) for q in qs],
+            lambda ix: [outcome(lambda: find_gap_run(ix, n)) for n in range(1, 40)],
+            lambda ix: search_equal_triple(ix, rank),
+            lambda ix: cayley_table(ix, rank).to_lists(),
+            lambda ix: find_nonassoc_witness(ix, rank),
+        ]
+        for i, call in enumerate(calls):
+            assert outcome(lambda: call(narrow)) == outcome(lambda: call(wide)), i
 
 
 class TestCache:
@@ -442,6 +527,16 @@ class TestCache:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * flags.nbytes
+
+    def test_padding_bits_are_not_members(self, tmp_path):
+        path = tmp_path / "q.spq"
+        build_sieve(117).save(path)
+        raw = bytearray(path.read_bytes())
+        # 0..117 fill 14 bytes and 6 bits of the 15th; set its last 2 bits.
+        raw[-5] |= 0b1100_0000
+        raw[-4:] = struct.pack("<I", zlib.crc32(bytes(raw[16:-4])))
+        path.write_bytes(bytes(raw))
+        assert load_cache(path).elements.tolist() == [1] + FIRST_25
 
     def test_trimmed_view_matches_fresh_build(self):
         big = build_sieve(2000)
