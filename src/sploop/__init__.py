@@ -1,113 +1,76 @@
 """SP numbers (a prime times a square larger than 1), the loop Q they
 form under a • b = N(|a - b|), and verifiers for the structure's claims.
+
+The public names are imported from their modules on first use (PEP 562),
+so ``import sploop`` and the CLI's cached point commands never load numpy.
 """
 
-from .analytics import (
-    DENSITY_TARGET,
-    DensityRow,
-    DigitCensus,
-    HurwitzEval,
-    density_table,
-    digit1_constant,
-    digit_census,
-    gap_histogram,
-    hurwitz_zeta2,
-)
-from .errors import (
-    CacheChecksumError,
-    CacheError,
-    CacheMagicError,
-    CacheTruncatedError,
-    CacheVersionError,
-    CapacityError,
-    ChainBrokenError,
-    DomainError,
-    MembershipError,
-    NotFoundError,
-    SearchBudgetError,
-    SploopError,
-    ValidationError,
-)
-from .loop_algebra import (
-    CayleyTable,
-    SubLoop,
-    cayley_table,
-    find_nonassoc_witness,
-    fixed_point,
-    lop,
-    sub_loop,
-)
-from .sieve import QIndex, SpSieve, build_sieve, load_cache, save_cache
-from .spcore import SpDecomposition, factorize, is_prime, is_sp, sp_decompose
-from .theorems import (
-    GapRun,
-    SpAp,
-    SpPair,
-    check_adjacency,
-    check_twin_shift,
-    construct_sp_ap,
-    find_gap_run,
-    find_prime_ap,
-    gap_pairs,
-    scan_bertrand,
-    search_equal_triple,
-    sp_ap_from_terms,
-    verify_bullet_chain,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DENSITY_TARGET",
-    "CacheChecksumError",
-    "CacheError",
-    "CacheMagicError",
-    "CacheTruncatedError",
-    "CacheVersionError",
-    "CapacityError",
-    "CayleyTable",
-    "ChainBrokenError",
-    "DensityRow",
-    "DigitCensus",
-    "DomainError",
-    "GapRun",
-    "HurwitzEval",
-    "MembershipError",
-    "NotFoundError",
-    "QIndex",
-    "SearchBudgetError",
-    "SpAp",
-    "SpDecomposition",
-    "SpPair",
-    "SpSieve",
-    "SploopError",
-    "SubLoop",
-    "ValidationError",
-    "build_sieve",
-    "cayley_table",
-    "check_adjacency",
-    "check_twin_shift",
-    "construct_sp_ap",
-    "density_table",
-    "digit1_constant",
-    "digit_census",
-    "factorize",
-    "find_gap_run",
-    "find_nonassoc_witness",
-    "find_prime_ap",
-    "fixed_point",
-    "gap_histogram",
-    "gap_pairs",
-    "hurwitz_zeta2",
-    "is_prime",
-    "is_sp",
-    "load_cache",
-    "lop",
-    "save_cache",
-    "scan_bertrand",
-    "search_equal_triple",
-    "sp_ap_from_terms",
-    "sp_decompose",
-    "sub_loop",
-    "verify_bullet_chain",
-]
+# Each public name, in the order of ``__all__``, and the module it lives in.
+_HOME = {
+    "DENSITY_TARGET": "analytics",
+    "CacheChecksumError": "errors",
+    "CacheError": "errors",
+    "CacheMagicError": "errors",
+    "CacheTruncatedError": "errors",
+    "CacheVersionError": "errors",
+    "CapacityError": "errors",
+    "CayleyTable": "loop_algebra",
+    "ChainBrokenError": "errors",
+    "DensityRow": "analytics",
+    "DigitCensus": "analytics",
+    "DomainError": "errors",
+    "GapRun": "theorems",
+    "HurwitzEval": "analytics",
+    "MembershipError": "errors",
+    "NotFoundError": "errors",
+    "QIndex": "sieve",
+    "SearchBudgetError": "errors",
+    "SpAp": "theorems",
+    "SpDecomposition": "spcore",
+    "SpPair": "theorems",
+    "SpSieve": "sieve",
+    "SploopError": "errors",
+    "SubLoop": "loop_algebra",
+    "ValidationError": "errors",
+    "build_sieve": "sieve",
+    "cayley_table": "loop_algebra",
+    "check_adjacency": "theorems",
+    "check_twin_shift": "theorems",
+    "construct_sp_ap": "theorems",
+    "density_table": "analytics",
+    "digit1_constant": "analytics",
+    "digit_census": "analytics",
+    "factorize": "spcore",
+    "find_gap_run": "theorems",
+    "find_nonassoc_witness": "loop_algebra",
+    "find_prime_ap": "theorems",
+    "fixed_point": "loop_algebra",
+    "gap_histogram": "analytics",
+    "gap_pairs": "theorems",
+    "hurwitz_zeta2": "analytics",
+    "is_prime": "spcore",
+    "is_sp": "spcore",
+    "load_cache": "sieve",
+    "lop": "loop_algebra",
+    "save_cache": "sieve",
+    "scan_bertrand": "theorems",
+    "search_equal_triple": "theorems",
+    "sp_ap_from_terms": "theorems",
+    "sp_decompose": "spcore",
+    "sub_loop": "loop_algebra",
+    "verify_bullet_chain": "theorems",
+}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value

@@ -1,0 +1,184 @@
+"""The v1 cache file, and Q read straight off its bits, with the standard
+library alone.
+
+Layout: a 16-byte header (magic ``SPLQ``, version 1, limit, little-endian),
+one bit per number in [0, limit] (bit n % 8 of byte n // 8, set iff n is
+SP; padding bits past the limit are not members), then the payload's
+CRC-32. ``read`` and ``write`` are the only code that knows the header and
+the checks; ``SpSieve`` decodes and packs the payload with numpy, and
+``QBits`` answers the CLI's point questions from it without importing numpy.
+"""
+
+from __future__ import annotations
+
+import os
+import struct
+import zlib
+
+from .errors import (
+    CacheChecksumError,
+    CacheMagicError,
+    CacheTruncatedError,
+    CacheVersionError,
+    CapacityError,
+    DomainError,
+)
+from .spcore import _successor_beyond
+
+MAGIC = b"SPLQ"
+VERSION = 1
+_HEADER = struct.Struct("<4sIQ")
+_CRC = struct.Struct("<I")
+_BLOCK = 4096  # payload bytes per bit count when nth_sp looks for a rank
+
+
+def payload_size(limit: int) -> int:
+    """Bytes of one bit per number in [0, limit]: ceil((limit + 1) / 8)."""
+    return limit // 8 + 1
+
+
+def read(path) -> tuple[int, memoryview]:
+    """The limit and payload of a cache file, rejecting malformed input with
+    distinct errors. The payload is a view of the file's bytes, not a copy."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    magic = data[:4]
+    if len(data) >= 4 and magic != MAGIC:
+        raise CacheMagicError(f"bad magic {magic!r}, expected {MAGIC!r}")
+    if len(data) < _HEADER.size:
+        raise CacheTruncatedError(
+            f"file is {len(data)} bytes, shorter than the {_HEADER.size}-byte header"
+        )
+    _, version, limit = _HEADER.unpack_from(data)
+    if version != VERSION:
+        raise CacheVersionError(f"unsupported cache version {version}")
+    size = payload_size(limit)
+    expected = _HEADER.size + size + _CRC.size
+    if len(data) != expected:
+        raise CacheTruncatedError(
+            f"file is {len(data)} bytes, header promises {expected}"
+        )
+    payload = memoryview(data)[_HEADER.size : _HEADER.size + size]
+    (crc,) = _CRC.unpack_from(data, expected - _CRC.size)
+    if zlib.crc32(payload) & 0xFFFFFFFF != crc:
+        raise CacheChecksumError("payload CRC-32 mismatch")
+    return limit, payload
+
+
+def write(path, limit: int, payload) -> None:
+    """Write a cache file for the bytes-like payload of one bit per number in
+    [0, limit]. The file is written beside path, synced, then renamed over
+    it, so path holds the old file or the whole new one."""
+    tmp = f"{path}.tmp.{os.getpid()}"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_HEADER.pack(MAGIC, VERSION, limit))
+            fh.write(payload)
+            fh.write(_CRC.pack(zlib.crc32(payload) & 0xFFFFFFFF))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:  # path keeps its old file; drop the partial tmp
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+class QBits:
+    """Q up to limit, read off a v1 payload's bits: the CLI's point questions
+    without numpy. Each query gives the same answer, error type, message and
+    ``required`` as the same query on a ``QIndex`` of that limit.
+
+    ``successor`` and ``predecessor`` step one number at a time, which stays
+    short: no gap in Q below 10**7 is wider than 207. A payload from a cache
+    built at a larger limit is cut to this limit.
+    """
+
+    __slots__ = ("limit", "_bits")
+
+    def __init__(self, limit: int, payload):
+        bits = bytearray(payload[: payload_size(limit)])
+        bits[-1] &= (2 << (limit & 7)) - 1  # no member past the limit
+        self.limit = limit
+        self._bits = bits
+
+    def _is_sp(self, n: int) -> int:
+        return self._bits[n >> 3] >> (n & 7) & 1
+
+    @property
+    def max_element(self) -> int:
+        n = self.limit
+        while n > 1 and not self._is_sp(n):
+            n -= 1
+        return n
+
+    def contains(self, x: int) -> bool:
+        """Membership in Q, restricted to the indexed range."""
+        if x < 1 or x > self.limit:
+            return False
+        return x == 1 or bool(self._is_sp(x))
+
+    def successor(self, x: int) -> int:
+        """N(x): the smallest element of Q strictly greater than x."""
+        if x < 0:
+            raise DomainError(f"need x >= 0, got {x}")
+        if x == 0:
+            return 1
+        for n in range(x + 1, self.limit + 1):
+            if self._is_sp(n):
+                return n
+        raise CapacityError(
+            f"successor({x}) is beyond the largest indexed element "
+            f"{self.max_element}; rebuild with a larger limit",
+            required=_successor_beyond(x),
+        )
+
+    def predecessor(self, x: int) -> int:
+        """The largest element of Q strictly below x (x >= 2)."""
+        if x <= 1:
+            raise DomainError(f"no Q element below {x}")
+        if x > self.limit + 1:
+            raise CapacityError(
+                f"predecessor({x}) is not covered by limit {self.limit}",
+                required=x,
+            )
+        for n in range(x - 1, 1, -1):
+            if self._is_sp(n):
+                return n
+        return 1
+
+    def sp_count(self, n: int) -> int:
+        """Number of SP numbers <= n (inclusive)."""
+        if n < 0:
+            raise DomainError(f"need n >= 0, got {n}")
+        if n > self.limit:
+            raise CapacityError(
+                f"{n} exceeds the limit {self.limit}; rebuild with limit >= {n}",
+                required=n,
+            )
+        head = int.from_bytes(self._bits[: n >> 3], "little").bit_count()
+        tail = self._bits[n >> 3] & ((2 << (n & 7)) - 1)
+        return head + tail.bit_count()
+
+    def nth_sp(self, r: int) -> int:
+        """The r-th SP number, r >= 1 (the identity 1 is not counted)."""
+        if r < 1:
+            raise DomainError(f"need r >= 1, got {r}")
+        bits, seen = self._bits, 0
+        for lo in range(0, len(bits), _BLOCK):
+            block = bits[lo : lo + _BLOCK]
+            inside = int.from_bytes(block, "little").bit_count()
+            if seen + inside >= r:
+                break
+            seen += inside
+        else:
+            raise CapacityError(
+                f"index holds only {seen} SP numbers, asked for number {r}"
+            )
+        for i, byte in enumerate(block, start=lo):
+            if seen + byte.bit_count() >= r:
+                break
+            seen += byte.bit_count()
+        for _ in range(r - seen - 1):
+            byte &= byte - 1  # clear the lowest set bit
+        return 8 * i + (byte & -byte).bit_length() - 1

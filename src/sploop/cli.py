@@ -13,6 +13,11 @@ The sieve bound is the global --limit flag (default 10**7). With --cache
 the sieve is loaded from the given file when it exists and covers the
 requested limit (trimmed down if larger), otherwise built and saved
 there. Results with and without a cache are identical.
+
+The point commands op, succ, pred, count and nth answer from the cache
+file's bits (``cachefile.QBits``) when it exists and covers the limit, and
+never import numpy; everything else loads Q as a numpy ``SpSieve``. So the
+numpy-using modules are imported inside the functions that use them.
 """
 
 from __future__ import annotations
@@ -25,9 +30,7 @@ import signal
 import sys
 import time
 
-import numpy as np
-
-from . import analytics, spcore, theorems
+from . import cachefile, spcore
 from .errors import (
     CacheError,
     CapacityError,
@@ -40,7 +43,6 @@ from .errors import (
     ValidationError,
 )
 from .loop_algebra import cayley_table, find_nonassoc_witness, fixed_point, lop
-from .sieve import SpSieve, build_sieve, load_cache
 
 DEFAULT_LIMIT = 10_000_000
 
@@ -184,17 +186,44 @@ def _build_parser() -> argparse.ArgumentParser:
 # -- sieve acquisition ----------------------------------------------------
 
 
-def _load_or_build(args) -> SpSieve:
+def _cached_payload(args):
+    """The --cache file's payload when the file exists and covers --limit,
+    else None. A malformed file raises its cache error."""
     if args.cache and os.path.exists(args.cache):
-        cached = load_cache(args.cache)
-        if cached.limit >= args.limit:
+        limit, payload = cachefile.read(args.cache)
+        if limit >= args.limit:
             if args.verbose:
-                print(f"loaded cache {args.cache} (limit {cached.limit})",
+                print(f"loaded cache {args.cache} (limit {limit})",
                       file=sys.stderr)
-            if cached.limit == args.limit:
-                return cached
-            kept = cached.elements[: cached.sp_count(args.limit) + 1]
-            return SpSieve._from_elements(args.limit, kept)
+            return payload
+    return None
+
+
+def _load_or_build(args):
+    """Q up to --limit as a numpy ``SpSieve``: decoded from the cache when
+    it covers the limit (the members past it are left out), else built,
+    and saved to --cache when one is named."""
+    from .sieve import SpSieve
+
+    payload = _cached_payload(args)
+    if payload is not None:
+        return SpSieve._from_payload(args.limit, payload)
+    return _build(args)
+
+
+def _point_index(args):
+    """Q up to --limit for op, succ, pred, count and nth: the cache file's
+    bits when it covers the limit, with no numpy, else ``_build``."""
+    payload = _cached_payload(args)
+    if payload is not None:
+        return cachefile.QBits(args.limit, payload)
+    return _build(args)
+
+
+def _build(args):
+    """Q built up to --limit, and saved to --cache when one is named."""
+    from .sieve import build_sieve
+
     started = time.monotonic()
     sieve = build_sieve(args.limit)
     if args.verbose:
@@ -270,35 +299,35 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    q = _load_or_build(args)
+    q = _point_index(args)
     c = q.sp_count(args.n)
     _emit(args, {"n": args.n, "sp_count": c}, [str(c)])
     return EXIT_OK
 
 
 def _cmd_succ(args) -> int:
-    q = _load_or_build(args)
+    q = _point_index(args)
     v = q.successor(args.x)
     _emit(args, {"x": args.x, "successor": v}, [str(v)])
     return EXIT_OK
 
 
 def _cmd_pred(args) -> int:
-    q = _load_or_build(args)
+    q = _point_index(args)
     v = q.predecessor(args.x)
     _emit(args, {"x": args.x, "predecessor": v}, [str(v)])
     return EXIT_OK
 
 
 def _cmd_nth(args) -> int:
-    q = _load_or_build(args)
+    q = _point_index(args)
     v = q.nth_sp(args.r)
     _emit(args, {"r": args.r, "sp": v}, [str(v)])
     return EXIT_OK
 
 
 def _cmd_op(args) -> int:
-    q = _load_or_build(args)
+    q = _point_index(args)
     v = lop(q, args.a, args.b)
     _emit(args, {"a": args.a, "b": args.b, "result": v}, [str(v)])
     return EXIT_OK
@@ -346,6 +375,8 @@ def _cmd_fixed_point(args) -> int:
 
 
 def _cmd_gap_run(args) -> int:
+    from . import theorems
+
     q = _load_or_build(args)
     run = theorems.find_gap_run(q, args.n)
     payload = {"n": args.n, "start": run.start, "length": run.length}
@@ -355,6 +386,8 @@ def _cmd_gap_run(args) -> int:
 
 
 def _cmd_pairs(args) -> int:
+    from . import theorems
+
     q = _load_or_build(args)
     bound = args.max if args.max is not None else q.limit
     pairs = theorems.gap_pairs(q, args.gap, bound)
@@ -367,6 +400,8 @@ def _cmd_pairs(args) -> int:
 
 
 def _cmd_ap_find(args) -> int:
+    from . import theorems
+
     primes = theorems.find_prime_ap(args.length, args.bound)
     payload = {"length": args.length, "bound": args.bound,
                "primes": list(primes), "square": args.square,
@@ -383,6 +418,11 @@ def _cmd_ap_find(args) -> int:
 
 
 def _cmd_ap_verify(args) -> int:
+    from . import theorems
+
+    if len(args.terms) < 2:
+        # Not a falsified progression: there is nothing to check.
+        raise DomainError("need at least two terms")
     try:
         ap = theorems.sp_ap_from_terms(args.terms)
     except ValidationError as exc:
@@ -405,6 +445,8 @@ def _cmd_ap_verify(args) -> int:
 
 
 def _cmd_triples(args) -> int:
+    from . import theorems
+
     q = _load_or_build(args)
     triple = theorems.search_equal_triple(q, args.rank)
     payload = {"rank": args.rank,
@@ -421,6 +463,8 @@ def _cmd_triples(args) -> int:
 
 
 def _cmd_bertrand(args) -> int:
+    from . import theorems
+
     q = _load_or_build(args)
     failures = theorems.scan_bertrand(q, args.lo, args.hi)
     real = [n for n in failures if n >= 5]
@@ -437,6 +481,8 @@ def _cmd_bertrand(args) -> int:
 
 
 def _cmd_census(args) -> int:
+    from . import analytics
+
     q = _load_or_build(args)
     result = analytics.digit_census(q, args.max)
     total = sum(result.counts.values())
@@ -454,6 +500,8 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_density(args) -> int:
+    from . import analytics
+
     q = _load_or_build(args)
     rows = analytics.density_table(q, args.checkpoints)
     payload = {"target": analytics.DENSITY_TARGET,
@@ -470,6 +518,8 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_zeta(args) -> int:
+    from . import analytics
+
     ev = analytics.hurwitz_zeta2(args.a)
     payload = {"a": ev.a, "value": ev.value,
                "abs_error_bound": ev.abs_error_bound, "terms": ev.terms}
@@ -487,6 +537,8 @@ def _check(name: str, ok: bool, detail: str) -> dict:
 
 
 def _suite_axioms(args, q):
+    import numpy as np
+
     rank = args.rank if args.rank is not None else q.sp_count(
         min(2000, q.limit))
     table = cayley_table(q, rank)
@@ -512,6 +564,8 @@ def _suite_axioms(args, q):
 
 
 def _suite_lemma1(args, q):
+    from . import theorems
+
     checks = []
     n_max = args.n_max
     if n_max is None:
@@ -542,6 +596,8 @@ def _suite_lemma1(args, q):
 
 
 def _ap_chain_checks(args, q, *, dual_route: bool):
+    from . import theorems
+
     if args.length is not None and args.length < 2:
         raise DomainError(f"need --length >= 2, got {args.length}")
     max_len = args.length if args.length is not None else 4
@@ -585,6 +641,8 @@ def _suite_theorem2(args, q):
 
 
 def _suite_lemma3(args, q):
+    from . import theorems
+
     lo = args.lo if args.lo is not None else 1
     hi = args.hi if args.hi is not None else min(10**6, q.limit // 2)
     failures = theorems.scan_bertrand(q, lo, hi)
@@ -599,6 +657,8 @@ def _suite_lemma3(args, q):
 
 
 def _suite_lemma4(args, q):
+    from . import theorems
+
     t_max = args.t_max if args.t_max is not None else min(10**6, q.limit // 2)
     violation = theorems.check_adjacency(q, t_max)
     checks = [_check(
@@ -637,6 +697,8 @@ def _suite_theorem1(args, q):
 
 
 def _suite_theorem3(args, q):
+    from . import theorems
+
     rank = args.rank if args.rank is not None else q.sp_count(
         min(2000, q.limit))
     triple = theorems.search_equal_triple(q, rank)
@@ -650,6 +712,10 @@ def _suite_theorem3(args, q):
 
 
 def _suite_theorem4(args, q):
+    import numpy as np
+
+    from . import theorems
+
     bound = args.max if args.max is not None else min(10**5, q.limit)
     if args.max is not None:
         if bound > q.limit:

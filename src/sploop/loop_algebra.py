@@ -10,16 +10,23 @@ the smallest associativity failure by exhaustive search.
 
 Q elements are plain ints. Membership is validated at each operation's
 boundary instead of being wrapped in a dedicated element type.
+
+Only ``cayley_table`` and ``find_nonassoc_witness`` import numpy, when
+called: ``lop`` and ``fixed_point`` need no more of the index than its
+queries, so ``lop`` also runs on the numpy-free ``cachefile.QBits``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import CapacityError, MembershipError, SploopError
-from .sieve import QIndex
+
+TYPE_CHECKING = False  # as typing.TYPE_CHECKING, without importing typing
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .sieve import QIndex
 
 
 def _check_member(index: QIndex, x: int, name: str) -> None:
@@ -79,9 +86,14 @@ class CayleyTable:
 
 def cayley_table(index: QIndex, r: int) -> CayleyTable:
     """The (r+1) x (r+1) table over {1, sp_1, ..., sp_r}."""
+    import numpy as np
+
     loop = sub_loop(index, r)
-    m = np.asarray(loop.members, dtype=np.int64)
-    entries = index.successor_many(np.abs(m[:, None] - m[None, :]))
+    m = np.asarray(loop.members, dtype=np.int64)  # m[i] - m[j] wraps if unsigned
+    # Every |m[i] - m[j]| lies in [0, m[-1]), so one search per value there
+    # and a gather replace one search per entry of the (r+1)**2 matrix.
+    successors = index.successor_many(np.arange(m[-1]))
+    entries = successors[np.abs(m[:, None] - m[None, :])]
     return CayleyTable(order=r + 1, members=loop.members, entries=entries)
 
 
@@ -92,6 +104,8 @@ def find_nonassoc_witness(index: QIndex, r: int) -> tuple[int, int, int] | None:
     Repeats are allowed: the cube is scanned in row-major order over
     member values, so the returned triple is the smallest witness overall.
     """
+    import numpy as np
+
     table = cayley_table(index, r)
     m = np.asarray(table.members, dtype=np.int64)
     # The entries come in the members' dtype; unsigned, m[i] - t would wrap.

@@ -14,6 +14,11 @@ and one in-place sort orders it. A cache load decodes the stored bits
 straight into the same array. The flags are made from the members only
 when something asks for them: ``save``, or a caller that reads ``flags``.
 
+The v1 file format, its checks and its durable write live in the
+numpy-free ``cachefile`` module; ``SpSieve`` only packs and unpacks the
+payload. A payload from a larger cache decodes to the members up to the
+asked-for limit, which is how the CLI trims a cache.
+
 Memory cost: 4 bytes per SP for the sorted members while limit < 2**32
 (8 past it), and as much again for their gaps once a gap question is
 asked. A build also holds the primes <= limit/4 (4 bytes each) and, while
@@ -26,28 +31,15 @@ one bit per number. A 10**8 build holds 18 MB of members, peaks near
 from __future__ import annotations
 
 import math
-import os
-import struct
-import zlib
 
 import numpy as np
 
-from . import spcore
-from .errors import (
-    CacheChecksumError,
-    CacheMagicError,
-    CacheTruncatedError,
-    CacheVersionError,
-    CapacityError,
-    DomainError,
-)
+from . import cachefile
+from .errors import CapacityError, DomainError
+from .spcore import _successor_beyond
 
 DEFAULT_MEMORY_BUDGET = 4 << 30
 
-CACHE_MAGIC = b"SPLQ"
-CACHE_VERSION = 1
-_HEADER = struct.Struct("<4sIQ")
-_CRC = struct.Struct("<I")
 _SLICE = 1 << 17  # numbers per flatnonzero call when listing the members
 _SCATTER = 1 << 13  # members per fancy-index write when making the flags
 
@@ -119,13 +111,6 @@ def _list_members(limit: int, count: int, pieces) -> np.ndarray:
         np.add(hits, lo, out=elements[at : at + hits.size], casting="unsafe")
         at += hits.size
     return elements
-
-
-def _successor_beyond(x: int) -> int:
-    """N(x), x >= 1: the first ``spcore.is_sp`` hit above x while primality
-    is certified (below 2**64), else 2x. 2x is a proven bound: by Bertrand's
-    postulate a prime p lies in (x/4, x/2], and 4p in (x, 2x] is SP."""
-    return next((n for n in range(x + 1, 1 << 64) if spcore.is_sp(n)), 2 * x)
 
 
 class QIndex:
@@ -339,59 +324,31 @@ class SpSieve(QIndex):
     # -- cache -----------------------------------------------------------
 
     def save(self, path) -> None:
-        """Write the v1 cache file: a 16-byte header (magic, version,
-        limit), one bit per number in [0, limit], then the payload's CRC-32."""
-        payload = np.packbits(self.flags, bitorder="little").tobytes()
-        blob = (
-            _HEADER.pack(CACHE_MAGIC, CACHE_VERSION, self.limit)
-            + payload
-            + _CRC.pack(zlib.crc32(payload) & 0xFFFFFFFF)
-        )
-        tmp = f"{path}.tmp.{os.getpid()}"
-        try:
-            with open(tmp, "wb") as fh:
-                fh.write(blob)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        except BaseException:  # path keeps its old file; drop the partial tmp
-            if os.path.exists(tmp):
-                os.remove(tmp)
-            raise
+        """Write the v1 cache file (``cachefile``): a 16-byte header, one bit
+        per number in [0, limit], then the payload's CRC-32."""
+        payload = np.packbits(self.flags, bitorder="little")
+        cachefile.write(path, self.limit, payload)
 
     @classmethod
     def load(cls, path) -> SpSieve:
         """Read a cache file, rejecting malformed input with distinct errors."""
-        data = np.fromfile(path, dtype=np.uint8)
-        magic = data[:4].tobytes()
-        if len(data) >= 4 and magic != CACHE_MAGIC:
-            raise CacheMagicError(f"bad magic {magic!r}, expected {CACHE_MAGIC!r}")
-        if len(data) < _HEADER.size:
-            raise CacheTruncatedError(
-                f"file is {len(data)} bytes, shorter than the {_HEADER.size}-byte header"
-            )
-        _, version, limit = _HEADER.unpack_from(data)
-        if version != CACHE_VERSION:
-            raise CacheVersionError(f"unsupported cache version {version}")
-        payload_len = (limit + 8) // 8  # ceil((limit + 1) / 8)
-        expected = _HEADER.size + payload_len + _CRC.size
-        if len(data) != expected:
-            raise CacheTruncatedError(
-                f"file is {len(data)} bytes, header promises {expected}"
-            )
-        payload = data[_HEADER.size : _HEADER.size + payload_len]
-        (crc,) = _CRC.unpack_from(data, expected - _CRC.size)
-        if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-            raise CacheChecksumError("payload CRC-32 mismatch")
-        # Set bits of the last byte past the limit are padding, not members.
-        spare = 8 * payload_len - (limit + 1)
+        return cls._from_payload(*cachefile.read(path))
+
+    @classmethod
+    def _from_payload(cls, limit: int, payload) -> SpSieve:
+        """A sieve over [0, limit] that holds only its members, decoded from
+        a v1 payload that covers at least [0, limit]; bits past the limit,
+        padding or members of a larger cache, are not members."""
+        size = cachefile.payload_size(limit)
+        payload = np.frombuffer(payload, dtype=np.uint8, count=size)
+        spare = 8 * size - (limit + 1)
         count = int(np.bitwise_count(payload).sum(dtype=np.int64))
         count -= (int(payload[-1]) >> (8 - spare)).bit_count()
         step = _SLICE // 8
         pieces = (
             (8 * lo, np.unpackbits(payload[lo : lo + step], count=min(
                 _SLICE, limit + 1 - 8 * lo), bitorder="little").view(bool))
-            for lo in range(0, payload_len, step)
+            for lo in range(0, size, step)
         )  # unpacked bits are 0 or 1; flatnonzero is twice as fast on bool
         return cls._from_elements(limit, _list_members(limit, count, pieces))
 

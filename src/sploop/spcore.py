@@ -151,3 +151,10 @@ def sp_decompose(n: int) -> SpDecomposition | None:
 def is_sp(n: int) -> bool:
     """True iff n is a square-prime number (n = p * k**2, k >= 2)."""
     return sp_decompose(n) is not None
+
+
+def _successor_beyond(x: int) -> int:
+    """N(x), x >= 1: the first ``is_sp`` hit above x while primality is
+    certified (below 2**64), else 2x. 2x is a proven bound: by Bertrand's
+    postulate a prime p lies in (x/4, x/2], and 4p in (x, 2x] is SP."""
+    return next((n for n in range(x + 1, 1 << 64) if is_sp(n)), 2 * x)

@@ -20,6 +20,7 @@ adjacency at t = a - x. Gap runs and gap pairs read the gaps directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -32,8 +33,9 @@ from .errors import (
     SearchBudgetError,
     ValidationError,
 )
-from .loop_algebra import lop
-from .sieve import QIndex, _rank, _successor_beyond
+from .loop_algebra import cayley_table, lop
+from .sieve import QIndex, _rank
+from .spcore import _successor_beyond
 
 TRIPLE_RANK_BUDGET = 2000
 
@@ -114,9 +116,8 @@ def gap_pairs(index: QIndex, g: int, limit: int) -> list[SpPair]:
     # gaps[0] leads from 1 to the first SP; pairs are gaps[1 : m - 1].
     m = _rank(elements, limit, "right")
     hits = 1 + np.flatnonzero(index.gaps[1 : max(m - 1, 1)] == g)
-    return [
-        SpPair(lo=int(elements[j]), hi=int(elements[j + 1]), gap=g) for j in hits
-    ]
+    lo, hi = elements[hits].tolist(), elements[hits + 1].tolist()
+    return list(map(SpPair, lo, hi, repeat(g)))
 
 
 def _primorial_below(n: int) -> int:
@@ -242,8 +243,8 @@ def search_equal_triple(index: QIndex, r: int) -> tuple[int, int, int] | None:
         raise CapacityError(
             f"rank {r} exceeds the {len(index.elements) - 1} indexed SP numbers"
         )
-    m = index.elements[: r + 1].astype(np.int64)  # a - b wraps if unsigned
-    pair = index.successor_many(np.abs(m[:, None] - m[None, :]))
+    table = cayley_table(index, r)
+    m, pair = table.members, table.entries
     s = len(m)
     for i in range(s - 2):
         for j in range(i + 1, s - 1):
@@ -251,7 +252,7 @@ def search_equal_triple(index: QIndex, r: int) -> tuple[int, int, int] | None:
             hit = np.flatnonzero((pair[j, j + 1 :] == v) & (pair[i, j + 1 :] == v))
             if hit.size:
                 k = j + 1 + int(hit[0])
-                return int(m[i]), int(m[j]), int(m[k])
+                return m[i], m[j], m[k]
     return None
 
 

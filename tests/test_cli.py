@@ -195,6 +195,12 @@ class TestFindings:
         assert code == 1
         assert "falsifying" in err
 
+    @pytest.mark.parametrize("terms", ["8", ""])
+    def test_ap_verify_fewer_than_two_terms_is_a_usage_error(self, terms):
+        code, out, err = run("ap", "verify", terms, "--limit", "1000")
+        assert (code, out) == (2, "")
+        assert err == "error: need at least two terms\n"
+
     def test_ap_find(self):
         code, payload = run_json("ap", "find", "--length", "4", "--bound",
                                  "100", "--square", "2")
@@ -322,6 +328,97 @@ class TestDeterminismAndCache:
         assert loaded[:2] == (code, out)
         assert loaded[2] == f"loaded cache {loud} (limit 100000)\n"
         assert run(*argv, loud, "-vv") == loaded
+
+
+POINT_COMMANDS = (["op", "164", "188"], ["succ", "24"], ["pred", "13"],
+                  ["count", "117"], ["nth", "25"])
+
+# The capacity and membership edges of the point commands at limit 1000,
+# whose largest SP is 981 = 109 * 3**2 and which holds 169 SP numbers.
+POINT_EDGES = POINT_COMMANDS + (
+    ["succ", "980"], ["succ", "981"], ["succ", "1000"], ["succ", "0"],
+    ["succ", "-1"], ["pred", "1001"], ["pred", "1002"], ["pred", "2"],
+    ["pred", "1"], ["count", "1000"], ["count", "1001"], ["count", "-1"],
+    ["count", "0"], ["nth", "169"], ["nth", "170"], ["nth", "0"],
+    ["op", "981", "8"], ["op", "1004", "8"], ["op", "7", "8"], ["op", "1", "1"],
+)
+
+
+class TestCachedPointRoute:
+    def test_cached_point_commands_never_import_numpy(self, tmp_path):
+        cache = str(tmp_path / "q.spq")
+        assert run("build", "--limit", "1000", "--out", cache)[0] == 0
+        script = (
+            "import contextlib, io, json, sys, sploop.cli\n"
+            "rows = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out):\n"
+            "        code = sploop.cli.dispatch(argv)\n"
+            "    rows.append([code, out.getvalue(), 'numpy' in sys.modules])\n"
+            "print(json.dumps(rows))\n")
+        argvs = [["--limit", "1000", "--cache", cache] + c for c in POINT_COMMANDS]
+        src = os.path.dirname(os.path.dirname(sploop.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(argvs)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        rows = json.loads(proc.stdout)
+        assert [numpy for _, _, numpy in rows] == [False] * len(POINT_COMMANDS)
+        assert [[code, out] for code, out, _ in rows] == [
+            list(run("--limit", "1000", *c)[:2]) for c in POINT_COMMANDS]
+        code, payload = run_json("fixed-point", "12", "--limit", "1000",
+                                 "--cache", cache)
+        assert (code, payload["fixed_point"]) == (0, 44)
+
+    @pytest.mark.parametrize("argv", POINT_EDGES, ids=" ".join)
+    def test_cached_answers_match_the_built_index(self, tmp_path, argv):
+        cache = str(tmp_path / "q.spq")
+        run("build", "--limit", "1000", "--out", cache)
+        fresh = run("--limit", "1000", *argv)
+        assert run("--limit", "1000", "--cache", cache, *argv) == fresh
+        assert run("--limit", "1000", "--cache", cache, "-v", *argv) == (
+            *fresh[:2], f"loaded cache {cache} (limit 1000)\n" + fresh[2])
+
+    @pytest.mark.parametrize("argv", POINT_EDGES, ids=" ".join)
+    def test_cache_built_larger_is_trimmed(self, tmp_path, argv):
+        cache = str(tmp_path / "q.spq")
+        run("build", "--limit", "2000", "--out", cache)
+        before = open(cache, "rb").read()
+        assert run("--limit", "1000", "--cache", cache, *argv) == \
+            run("--limit", "1000", *argv)
+        assert open(cache, "rb").read() == before
+
+    def test_cache_below_the_limit_is_rebuilt(self, tmp_path):
+        cache = str(tmp_path / "q.spq")
+        run("build", "--limit", "2000", "--out", cache)
+        for argv in (["succ", "2999"], ["count", "3000"], ["nth", "200"]):
+            assert run("--limit", "3000", "--cache", cache, *argv) == \
+                run("--limit", "3000", *argv)
+        assert load_cache(cache).limit == 3000
+
+    @pytest.mark.parametrize("damage", ["magic", "version", "truncated",
+                                        "short", "checksum"])
+    def test_malformed_cache_fails_as_it_does_for_list(self, tmp_path, damage):
+        cache = tmp_path / "q.spq"
+        run("build", "--limit", "1000", "--out", str(cache))
+        raw = bytearray(cache.read_bytes())
+        if damage == "magic":
+            raw[:4] = b"NOPE"
+        elif damage == "version":
+            raw[4] = 2
+        elif damage == "truncated":
+            del raw[-3:]
+        elif damage == "short":
+            del raw[10:]
+        else:
+            raw[20] ^= 0xFF
+        cache.write_bytes(bytes(raw))
+        listed = run("list", "--limit", "1000", "--cache", str(cache))
+        assert listed[:2] == (2, "") and listed[2].startswith("error: ")
+        for argv in POINT_COMMANDS:
+            assert run("--limit", "1000", "--cache", str(cache), *argv) == listed
 
 
 class TestVerifySuites:

@@ -78,6 +78,12 @@ class TestSubLoopAndTable:
     def test_rank_zero_table(self, index_1e4):
         assert cayley_table(index_1e4, 0).to_lists() == [[1]]
 
+    @pytest.mark.parametrize("rank", [0, 1, 5, 307])
+    def test_entries_are_the_successors_of_the_differences(self, index_1e4, rank):
+        m = cayley_table(index_1e4, rank).members
+        assert cayley_table(index_1e4, rank).to_lists() == [
+            [index_1e4.successor(abs(a - b)) for b in m] for a in m]
+
     def test_invariants_to_rank_200(self, index_1e4):
         table = cayley_table(index_1e4, 200)
         m = np.asarray(table.members)

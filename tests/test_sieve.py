@@ -43,7 +43,7 @@ from sploop import (
     verify_bullet_chain,
 )
 
-from sploop import sieve as sieve_module
+from sploop import cachefile
 from sploop.sieve import _estimate_build_bytes, _prime_sieve
 
 from _oracles import primes_upto, q_by_construction, sp_list_slow
@@ -455,9 +455,9 @@ class TestCache:
                 disk_full()
 
         if failing == "write":
-            monkeypatch.setattr(sieve_module, "open", HalfWrite, raising=False)
+            monkeypatch.setattr(cachefile, "open", HalfWrite, raising=False)
         else:
-            monkeypatch.setattr(sieve_module.os, "fsync", disk_full)
+            monkeypatch.setattr(cachefile.os, "fsync", disk_full)
         with pytest.raises(OSError):
             build_sieve(2000).save(path)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["q.spq"]
