@@ -383,12 +383,12 @@ class TestCachedPointRoute:
 
     @pytest.mark.parametrize("argv", POINT_EDGES, ids=" ".join)
     def test_cache_built_larger_is_trimmed(self, tmp_path, argv):
-        cache = str(tmp_path / "q.spq")
-        run("build", "--limit", "2000", "--out", cache)
-        before = open(cache, "rb").read()
-        assert run("--limit", "1000", "--cache", cache, *argv) == \
+        cache = tmp_path / "q.spq"
+        run("build", "--limit", "2000", "--out", str(cache))
+        before = cache.read_bytes()
+        assert run("--limit", "1000", "--cache", str(cache), *argv) == \
             run("--limit", "1000", *argv)
-        assert open(cache, "rb").read() == before
+        assert cache.read_bytes() == before
 
     def test_cache_below_the_limit_is_rebuilt(self, tmp_path):
         cache = str(tmp_path / "q.spq")
