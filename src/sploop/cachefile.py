@@ -5,8 +5,9 @@ Layout: a 16-byte header (magic ``SPLQ``, version 1, limit, little-endian),
 one bit per number in [0, limit] (bit n % 8 of byte n // 8, set iff n is
 SP; padding bits past the limit are not members), then the payload's
 CRC-32. ``read`` and ``write`` are the only code that knows the header and
-the checks; ``SpSieve`` decodes and packs the payload with numpy, and
-``QBits`` answers the CLI's point questions from it without importing numpy.
+the checks; ``SpSieve`` packs the payload with numpy (its load checks the
+file, then builds), and ``QBits``, the only reader of the bits, answers the
+CLI's point questions from them without importing numpy.
 """
 
 from __future__ import annotations

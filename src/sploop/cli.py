@@ -10,14 +10,15 @@ stderr. Exit codes:
   3  capacity exceeded (enlarge --limit or the relevant search bound)
 
 The sieve bound is the global --limit flag (default 10**7). With --cache
-the sieve is loaded from the given file when it exists and covers the
-requested limit (trimmed down if larger), otherwise built and saved
-there. Results with and without a cache are identical.
+the given file is read and checked when it exists and covers the
+requested limit, and left as it is; otherwise Q is built and saved there.
+Results with and without a cache are identical.
 
 The point commands op, succ, pred, count and nth answer from the cache
 file's bits (``cachefile.QBits``) when it exists and covers the limit, and
-never import numpy; everything else loads Q as a numpy ``SpSieve``. So the
-numpy-using modules are imported inside the functions that use them.
+never import numpy; everything else builds Q to --limit as a numpy
+``SpSieve``, which costs less than decoding the bits. So the numpy-using
+modules are imported inside the functions that use them.
 """
 
 from __future__ import annotations
@@ -200,28 +201,25 @@ def _cached_payload(args):
 
 
 def _load_or_build(args):
-    """Q up to --limit as a numpy ``SpSieve``: decoded from the cache when
-    it covers the limit (the members past it are left out), else built,
-    and saved to --cache when one is named."""
-    from .sieve import SpSieve
-
-    payload = _cached_payload(args)
-    if payload is not None:
-        return SpSieve._from_payload(args.limit, payload)
-    return _build(args)
+    """Q up to --limit as a numpy ``SpSieve``, built. A --cache file that
+    covers the limit is read and checked first, so a malformed one still
+    fails, and is left as it is; otherwise the build is saved there."""
+    fresh = _cached_payload(args) is not None
+    sieve = _build(args)
+    return sieve if fresh else _save(args, sieve)
 
 
 def _point_index(args):
     """Q up to --limit for op, succ, pred, count and nth: the cache file's
-    bits when it covers the limit, with no numpy, else ``_build``."""
+    bits when it covers the limit, with no numpy, else built and saved."""
     payload = _cached_payload(args)
     if payload is not None:
         return cachefile.QBits(args.limit, payload)
-    return _build(args)
+    return _save(args, _build(args))
 
 
 def _build(args):
-    """Q built up to --limit, and saved to --cache when one is named."""
+    """Q built up to --limit."""
     from .sieve import build_sieve
 
     started = time.monotonic()
@@ -229,6 +227,11 @@ def _build(args):
     if args.verbose:
         print(f"built sieve to {args.limit} in {time.monotonic() - started:.2f}s",
               file=sys.stderr)
+    return sieve
+
+
+def _save(args, sieve):
+    """The sieve, saved to --cache first when one is named."""
     if args.cache:
         sieve.save(args.cache)
         if args.verbose:
@@ -717,17 +720,21 @@ def _suite_theorem4(args, q):
     from . import theorems
 
     bound = args.max if args.max is not None else min(10**5, q.limit)
-    if args.max is not None:
-        if bound > q.limit:
-            q._check_range(bound)
-        twin = int(np.argmax(q.gaps == 1))  # the first gap-1 pair, if any
-        if q.gaps[twin] != 1:
+    if bound > q.limit:
+        q._check_range(bound)
+    twin = int(np.argmax(q.gaps == 1))  # the first gap-1 pair, if any
+    if q.gaps[twin] != 1:
+        if args.max is not None:
             raise CapacityError(
                 f"no twin pair below limit {q.limit}; a larger limit holds one")
-        first = int(q.elements[twin + 1])
-        if bound < first:
-            # No twin pair has both members <= bound, so nothing is checked.
-            raise DomainError(f"need --max >= {first}, got {bound}")
+        return [_check(
+            "default_max", True,
+            f"no twin pair lies below limit {q.limit}, so the default "
+            f"--max {bound} has none to probe")]
+    first = int(q.elements[twin + 1])
+    if bound < first:
+        # No twin pair has both members <= bound, so nothing is checked.
+        raise DomainError(f"need --max >= {first}, got {bound}")
     violation = theorems.check_twin_shift(q, bound)
     if violation is None:
         detail = f"twins up to {bound}: products stay equal or adjacent"

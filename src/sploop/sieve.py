@@ -10,22 +10,23 @@ Q is built first. Every SP number has exactly one form p * k**2, so Q is
 1 together with the union of the arrays ``primes[:m] * k**2``, k from 2 up
 to sqrt(limit/2): the primes p <= limit/4 come from an odd-only sieve of
 Eratosthenes, one pass over k writes each product once into one array,
-and one in-place sort orders it. A cache load decodes the stored bits
-straight into the same array. The flags are made from the members only
-when something asks for them: ``save``, or a caller that reads ``flags``.
+and one in-place sort orders it. The flags are made from the members only
+when something asks for them.
 
 The v1 file format, its checks and its durable write live in the
-numpy-free ``cachefile`` module; ``SpSieve`` only packs and unpacks the
-payload. A payload from a larger cache decodes to the members up to the
-asked-for limit, which is how the CLI trims a cache.
+numpy-free ``cachefile`` module; ``SpSieve`` packs the payload from the
+members. Every bit of a cache file is fixed by its limit, so a load checks
+the file and then builds Q to that limit, which costs less than decoding
+the bits.
 
 Memory cost: 4 bytes per SP for the sorted members while limit < 2**32
 (8 past it), and as much again for their gaps once a gap question is
 asked. A build also holds the primes <= limit/4 (4 bytes each) and, while
-it sieves them, one byte per odd number up to limit/4. The flags, if
-asked for, take one byte per number in [0, limit]. The cache file stores
-one bit per number. A 10**8 build holds 18 MB of members, peaks near
-25 MB and takes 12.5 MB on disk; its flags would take 100 MB more.
+it sieves them, one byte per odd number up to limit/4. A save holds the
+file's one bit per number, and so does a load until its build returns.
+The flags, if asked for, take one byte per number in [0, limit]. A 10**8
+build holds 18 MB of members, peaks near 25 MB and takes 12.5 MB on disk;
+its flags would take 100 MB more.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .spcore import _successor_beyond
 
 DEFAULT_MEMORY_BUDGET = 4 << 30
 
-_SLICE = 1 << 17  # numbers per flatnonzero call when listing the members
+_SLICE = 1 << 17  # numbers per slice when listing or packing the members
 _SCATTER = 1 << 13  # members per fancy-index write when making the flags
 
 
@@ -97,20 +98,6 @@ def _estimate_build_bytes(limit: int) -> int:
     sieving = (pmax + 1) // 2 + primes * (8 + size)
     filling = (primes + members) * size + 4 * 8 * ks.size
     return max(sieving, filling) + (1 << 20)
-
-
-def _list_members(limit: int, count: int, pieces) -> np.ndarray:
-    """1 followed by the positions of the set flags, ascending, as one
-    array of the member dtype. ``pieces`` yields (offset, bool array)
-    in ascending order, and holds ``count`` set flags in all."""
-    elements = np.empty(1 + count, dtype=_member_dtype(limit))
-    elements[0] = 1
-    at = 1
-    for lo, bits in pieces:
-        hits = np.flatnonzero(bits)
-        np.add(hits, lo, out=elements[at : at + hits.size], casting="unsafe")
-        at += hits.size
-    return elements
 
 
 class QIndex:
@@ -265,11 +252,11 @@ class QIndex:
 
 
 class SpSieve(QIndex):
-    """A ``QIndex`` made by the sieve or read from the cache, which also
-    answers ``is_sp`` and writes the cache file.
+    """A ``QIndex`` made by the sieve, which also answers ``is_sp`` and
+    writes the cache file.
 
     It holds one of two forms and derives the other on first use: the
-    members (how ``build_sieve`` and ``load`` make it), or flags over
+    members (how ``build_sieve``, and so ``load``, make it), or flags over
     [0, limit] with flag i set iff i is SP (how ``SpSieve(limit, flags)``
     makes it).
     """
@@ -295,10 +282,16 @@ class SpSieve(QIndex):
         listing needs little more memory than the array itself."""
         if self._elements is None:
             flags = self._flags
-            pieces = ((lo, flags[lo : lo + _SLICE])
-                      for lo in range(0, flags.size, _SLICE))
-            self._elements = _list_members(
-                self.limit, np.count_nonzero(flags), pieces)
+            elements = np.empty(1 + np.count_nonzero(flags),
+                                dtype=_member_dtype(self.limit))
+            elements[0] = 1
+            at = 1
+            for lo in range(0, flags.size, _SLICE):
+                hits = np.flatnonzero(flags[lo : lo + _SLICE])
+                np.add(hits, lo, out=elements[at : at + hits.size],
+                       casting="unsafe")
+                at += hits.size
+            self._elements = elements
         return self._elements
 
     @property
@@ -325,32 +318,29 @@ class SpSieve(QIndex):
 
     def save(self, path) -> None:
         """Write the v1 cache file (``cachefile``): a 16-byte header, one bit
-        per number in [0, limit], then the payload's CRC-32."""
-        payload = np.packbits(self.flags, bitorder="little")
+        per number in [0, limit], then the payload's CRC-32. The bits are
+        packed from the members a slice at a time; the flags are not made."""
+        payload = np.empty(cachefile.payload_size(self.limit), dtype=np.uint8)
+        sps = self.elements[1:]  # 1 is in Q but is not SP
+        for lo in range(0, self.limit + 1, _SLICE):
+            hi = min(lo + _SLICE, self.limit + 1)
+            bits = np.zeros(hi - lo, dtype=bool)
+            bits[sps[_rank(sps, lo) : _rank(sps, hi)] - lo] = True
+            payload[lo // 8 : (hi + 7) // 8] = np.packbits(bits, bitorder="little")
         cachefile.write(path, self.limit, payload)
 
     @classmethod
     def load(cls, path) -> SpSieve:
-        """Read a cache file, rejecting malformed input with distinct errors."""
-        return cls._from_payload(*cachefile.read(path))
-
-    @classmethod
-    def _from_payload(cls, limit: int, payload) -> SpSieve:
-        """A sieve over [0, limit] that holds only its members, decoded from
-        a v1 payload that covers at least [0, limit]; bits past the limit,
-        padding or members of a larger cache, are not members."""
-        size = cachefile.payload_size(limit)
-        payload = np.frombuffer(payload, dtype=np.uint8, count=size)
-        spare = 8 * size - (limit + 1)
-        count = int(np.bitwise_count(payload).sum(dtype=np.int64))
-        count -= (int(payload[-1]) >> (8 - spare)).bit_count()
-        step = _SLICE // 8
-        pieces = (
-            (8 * lo, np.unpackbits(payload[lo : lo + step], count=min(
-                _SLICE, limit + 1 - 8 * lo), bitorder="little").view(bool))
-            for lo in range(0, size, step)
-        )  # unpacked bits are 0 or 1; flatnonzero is twice as fast on bool
-        return cls._from_elements(limit, _list_members(limit, count, pieces))
+        """Q up to a cache file's limit. The file is read and checked, with a
+        distinct error for each fault, then Q is built to its limit: every
+        bit of the file is fixed by the limit, and a build costs less than
+        decoding them. So a limit of 0 raises ``build_sieve``'s DomainError,
+        and one past its memory budget its CapacityError, before the build
+        allocates."""
+        limit, payload = cachefile.read(path)
+        # Held until the build returns: freed before it, at 10**8 glibc kept
+        # the build's sieve mask on the heap (+8 MB peak RSS, session-1e8).
+        return build_sieve(limit)
 
 
 def save_cache(sieve: SpSieve, destination) -> None:

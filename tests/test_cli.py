@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import sys
 import pytest
 
 import sploop
-from sploop import SpSieve, load_cache
+from sploop import SpSieve, build_sieve, load_cache
 from sploop.cli import dispatch
 
 FIRST_25 = [8, 12, 18, 20, 27, 28, 32, 44, 45, 48, 50, 52, 63, 68,
@@ -329,6 +330,32 @@ class TestDeterminismAndCache:
         assert loaded[2] == f"loaded cache {loud} (limit 100000)\n"
         assert run(*argv, loud, "-vv") == loaded
 
+    @pytest.mark.parametrize("built_at", [1000, 2000])
+    def test_verbose_numpy_command_on_a_cache_notes_the_build(
+            self, tmp_path, built_at):
+        cache = tmp_path / "q.spq"
+        run("build", "--limit", str(built_at), "--out", str(cache))
+        before = cache.read_bytes()
+        argv = ("--limit", "1000", "--cache", str(cache), "gap-run", "8")
+        quiet = run(*argv)
+        code, out, err = run(*argv, "-v")
+        assert quiet[2] == "" and (code, out) == quiet[:2]
+        assert re.fullmatch(
+            rf"loaded cache {re.escape(str(cache))} \(limit {built_at}\)\n"
+            r"built sieve to 1000 in \d+\.\d\ds\n", err), err
+        assert cache.read_bytes() == before
+
+    def test_saves_never_build_the_flags(self, tmp_path, monkeypatch):
+        def built(_sieve):
+            raise AssertionError("the flags were built")
+
+        monkeypatch.setattr(SpSieve, "flags", property(built))
+        paths = [tmp_path / name for name in ("lib.spq", "out.spq", "cache.spq")]
+        build_sieve(10**4).save(paths[0])
+        assert run("build", "--limit", "10000", "--out", str(paths[1]))[0] == 0
+        assert run("list", "--limit", "10000", "--cache", str(paths[2]))[0] == 0
+        assert len({path.read_bytes() for path in paths}) == 1
+
 
 POINT_COMMANDS = (["op", "164", "188"], ["succ", "24"], ["pred", "13"],
                   ["count", "117"], ["nth", "25"])
@@ -554,6 +581,16 @@ class TestVerifySuites:
                              "--max", "20")
         assert (code, out) == (3, "")
         assert "no twin pair below limit 20" in err
+
+    @pytest.mark.parametrize("limit", [8, 27])
+    def test_theorem4_default_without_a_twin_below_the_limit(self, limit):
+        code, payload = run_json("verify", "--suite", "theorem4",
+                                 "--limit", str(limit))
+        assert code == 0
+        assert payload["suites"][0]["checks"] == [{
+            "name": "default_max", "ok": True,
+            "detail": f"no twin pair lies below limit {limit}, so the "
+                      f"default --max {limit} has none to probe"}]
 
     def test_verify_all_never_builds_the_flags(self, monkeypatch):
         def built(_sieve):

@@ -43,8 +43,12 @@ from sploop import (
     verify_bullet_chain,
 )
 
-from sploop import cachefile
-from sploop.sieve import _estimate_build_bytes, _prime_sieve
+from sploop import cachefile, sieve as sieve_module
+from sploop.sieve import (
+    DEFAULT_MEMORY_BUDGET,
+    _estimate_build_bytes,
+    _prime_sieve,
+)
 
 from _oracles import primes_upto, q_by_construction, sp_list_slow
 
@@ -515,6 +519,34 @@ class TestCache:
         back = load_cache(path)
         assert back.limit == limit
         assert np.array_equal(back.flags, sieve.flags)
+
+    @pytest.mark.parametrize("limit", [8, 117, 131_071, 131_072, 131_073,
+                                       300_000])
+    def test_payload_packs_every_member(self, tmp_path, limit):
+        # The save packs 2**17 numbers at a time: 0..131071 fill one slice,
+        # 131072 and 131073 spill into a second, and 300000 ends mid-byte.
+        path = tmp_path / "q.spq"
+        build_sieve(limit).save(path)
+        flags = np.zeros(limit + 1, dtype=bool)
+        flags[q_by_construction(limit)[1:]] = True  # every member but 1
+        assert path.read_bytes()[16:-4] == np.packbits(
+            flags, bitorder="little").tobytes()
+
+    def test_limit_zero_file_is_refused_as_the_build_refuses_it(self, tmp_path):
+        path = tmp_path / "q.spq"
+        SpSieve(0, np.zeros(1, dtype=bool)).save(path)
+        assert cachefile.read(path)[0] == 0
+        with pytest.raises(DomainError, match="need limit >= 1, got 0"):
+            load_cache(path)
+
+    def test_limit_past_the_budget_is_refused_before_the_build(
+            self, tmp_path, monkeypatch):
+        path = tmp_path / "q.spq"
+        build_sieve(117).save(path)
+        monkeypatch.setattr(sieve_module, "_estimate_build_bytes",
+                            lambda limit: DEFAULT_MEMORY_BUDGET + 1)
+        with pytest.raises(CapacityError, match="over the"):
+            load_cache(path)
 
     @pytest.mark.parametrize("limit", [10**6, 10**7])
     def test_load_peak_stays_near_the_flags(self, tmp_path, limit):
