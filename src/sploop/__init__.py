@@ -23,7 +23,7 @@ _HOME = {
     "DensityRow": "analytics",
     "DigitCensus": "analytics",
     "DomainError": "errors",
-    "GapRun": "theorems",
+    "GapRun": "loop_algebra",
     "HurwitzEval": "analytics",
     "MembershipError": "errors",
     "NotFoundError": "errors",
@@ -45,7 +45,7 @@ _HOME = {
     "digit1_constant": "analytics",
     "digit_census": "analytics",
     "factorize": "spcore",
-    "find_gap_run": "theorems",
+    "find_gap_run": "loop_algebra",
     "find_nonassoc_witness": "loop_algebra",
     "find_prime_ap": "theorems",
     "fixed_point": "loop_algebra",

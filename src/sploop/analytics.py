@@ -11,11 +11,11 @@ so only the shrinking of the absolute error across decades is asserted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
+from .record import Record
 from .sieve import QIndex, _rank
 
 DENSITY_TARGET = math.pi * math.pi / 6 - 1
@@ -24,14 +24,16 @@ _ZETA_TOL = 1e-10
 _ROUNDING_MARGIN = 2e-13
 
 
-@dataclass(frozen=True)
-class HurwitzEval:
+class HurwitzEval(Record):
     """One certified evaluation of zeta(2, a) = sum of (m + a)^-2, m >= 0."""
 
-    a: float
-    value: float
-    abs_error_bound: float
-    terms: int
+    __slots__ = ("a", "value", "abs_error_bound", "terms")
+
+    def __init__(self, a: float, value: float, abs_error_bound: float, terms: int):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "abs_error_bound", abs_error_bound)
+        object.__setattr__(self, "terms", terms)
 
 
 def hurwitz_zeta2(a: float) -> HurwitzEval:
@@ -65,13 +67,16 @@ def digit1_constant() -> float:
     return (math.fsum(parts) - 4) / 400
 
 
-@dataclass(frozen=True)
-class DensityRow:
-    n: int
-    sp_count: int
-    ratio: float
-    target: float
-    abs_error: float
+class DensityRow(Record):
+    __slots__ = ("n", "sp_count", "ratio", "target", "abs_error")
+
+    def __init__(self, n: int, sp_count: int, ratio: float, target: float,
+                 abs_error: float):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "sp_count", sp_count)
+        object.__setattr__(self, "ratio", ratio)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "abs_error", abs_error)
 
 
 def density_table(index: QIndex, checkpoints: list[int]) -> list[DensityRow]:
@@ -94,11 +99,13 @@ def density_table(index: QIndex, checkpoints: list[int]) -> list[DensityRow]:
     return rows
 
 
-@dataclass(frozen=True)
-class DigitCensus:
-    limit: int
-    counts: dict[int, int]
-    digit1_target: float
+class DigitCensus(Record):
+    __slots__ = ("limit", "counts", "digit1_target")
+
+    def __init__(self, limit: int, counts: dict[int, int], digit1_target: float):
+        object.__setattr__(self, "limit", limit)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "digit1_target", digit1_target)
 
 
 def digit_census(index: QIndex, limit: int) -> DigitCensus:

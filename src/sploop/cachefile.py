@@ -6,8 +6,10 @@ one bit per number in [0, limit] (bit n % 8 of byte n // 8, set iff n is
 SP; padding bits past the limit are not members), then the payload's
 CRC-32. ``read`` and ``write`` are the only code that knows the header and
 the checks; ``SpSieve`` packs the payload with numpy (its load checks the
-file, then builds), and ``QBits``, the only reader of the bits, answers the
-CLI's point questions from them without importing numpy.
+file, then builds), and ``QBits``, the only reader of the bits, answers
+every cached CLI command from them without importing numpy: the point
+questions, the gap query behind fixed points and SP-free runs, the pairs
+at a gap, and the rank prefix of an operation table.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import os
 import struct
 import zlib
+from itertools import islice, pairwise, takewhile
 
 from .errors import (
     CacheChecksumError,
@@ -23,6 +26,7 @@ from .errors import (
     CacheVersionError,
     CapacityError,
     DomainError,
+    MembershipError,
 )
 from .spcore import _successor_beyond
 
@@ -86,11 +90,12 @@ def write(path, limit: int, payload) -> None:
 
 
 class QBits:
-    """Q up to limit, read off a v1 payload's bits: the CLI's point questions
-    without numpy. Each query gives the same answer, error type, message and
-    ``required`` as the same query on a ``QIndex`` of that limit.
+    """Q up to limit, read off a v1 payload's bits: the CLI's cached
+    questions without numpy. Each query gives the same answer, error type,
+    message and ``required`` as the same query on a ``QIndex`` of that
+    limit, ``gap_pairs`` and ``prefix`` among them.
 
-    ``successor`` and ``predecessor`` step one number at a time, which stays
+    ``successor`` and ``predecessor`` step along the bits, which stays
     short: no gap in Q below 10**7 is wider than 207. A payload from a cache
     built at a larger limit is cut to this limit.
     """
@@ -105,6 +110,33 @@ class QBits:
 
     def _is_sp(self, n: int) -> int:
         return self._bits[n >> 3] >> (n & 7) & 1
+
+    def _next_sp(self, n: int) -> int | None:
+        """The smallest SP >= n, or None when none is below the limit."""
+        bits, i = self._bits, n >> 3
+        if i >= len(bits):
+            return None
+        byte = bits[i] >> (n & 7) << (n & 7)  # without the bits below n
+        while not byte:
+            i += 1
+            if i == len(bits):
+                return None
+            byte = bits[i]
+        return 8 * i + (byte & -byte).bit_length() - 1
+
+    def _sps(self):
+        """Every SP up to the limit, ascending."""
+        for i, byte in enumerate(self._bits):
+            while byte:
+                yield 8 * i + (byte & -byte).bit_length() - 1
+                byte &= byte - 1  # clear the lowest set bit
+
+    def _check_range(self, n: int) -> None:
+        if n > self.limit:
+            raise CapacityError(
+                f"{n} exceeds the limit {self.limit}; rebuild with limit >= {n}",
+                required=n,
+            )
 
     @property
     def max_element(self) -> int:
@@ -125,14 +157,14 @@ class QBits:
             raise DomainError(f"need x >= 0, got {x}")
         if x == 0:
             return 1
-        for n in range(x + 1, self.limit + 1):
-            if self._is_sp(n):
-                return n
-        raise CapacityError(
-            f"successor({x}) is beyond the largest indexed element "
-            f"{self.max_element}; rebuild with a larger limit",
-            required=_successor_beyond(x),
-        )
+        n = self._next_sp(x + 1)
+        if n is None:
+            raise CapacityError(
+                f"successor({x}) is beyond the largest indexed element "
+                f"{self.max_element}; rebuild with a larger limit",
+                required=_successor_beyond(x),
+            )
+        return n
 
     def predecessor(self, x: int) -> int:
         """The largest element of Q strictly below x (x >= 2)."""
@@ -152,34 +184,86 @@ class QBits:
         """Number of SP numbers <= n (inclusive)."""
         if n < 0:
             raise DomainError(f"need n >= 0, got {n}")
-        if n > self.limit:
-            raise CapacityError(
-                f"{n} exceeds the limit {self.limit}; rebuild with limit >= {n}",
-                required=n,
-            )
+        self._check_range(n)
         head = int.from_bytes(self._bits[: n >> 3], "little").bit_count()
         tail = self._bits[n >> 3] & ((2 << (n & 7)) - 1)
         return head + tail.bit_count()
+
+    def _block_of(self, r: int) -> tuple[int | None, int]:
+        """The first byte of the block that holds the r-th SP number and the
+        count before that block, or None and the count of all of them when
+        there are fewer than r. Counting stops at that block."""
+        bits, seen = self._bits, 0
+        for lo in range(0, len(bits), _BLOCK):
+            inside = int.from_bytes(bits[lo : lo + _BLOCK], "little").bit_count()
+            if seen + inside >= r:
+                return lo, seen
+            seen += inside
+        return None, seen
 
     def nth_sp(self, r: int) -> int:
         """The r-th SP number, r >= 1 (the identity 1 is not counted)."""
         if r < 1:
             raise DomainError(f"need r >= 1, got {r}")
-        bits, seen = self._bits, 0
-        for lo in range(0, len(bits), _BLOCK):
-            block = bits[lo : lo + _BLOCK]
-            inside = int.from_bytes(block, "little").bit_count()
-            if seen + inside >= r:
-                break
-            seen += inside
-        else:
+        lo, seen = self._block_of(r)
+        if lo is None:
             raise CapacityError(
                 f"index holds only {seen} SP numbers, asked for number {r}"
             )
-        for i, byte in enumerate(block, start=lo):
+        for i, byte in enumerate(self._bits[lo : lo + _BLOCK], start=lo):
             if seen + byte.bit_count() >= r:
                 break
             seen += byte.bit_count()
         for _ in range(r - seen - 1):
             byte &= byte - 1  # clear the lowest set bit
         return 8 * i + (byte & -byte).bit_length() - 1
+
+    def first_gap(self, w: int) -> tuple[int, int] | None:
+        """The first consecutive members (lo, hi) of Q with hi - lo >= w,
+        1 included, or None when no gap is that wide.
+
+        The w - 1 numbers strictly between such lo and hi are not SP, so
+        they cover at least k = (w - 8) // 8 whole zero bytes. For k >= 1,
+        ``find`` goes from one run of k zero bytes to the next, and the
+        gap around each is measured exactly; narrower gaps are found by
+        walking the members from 1.
+        """
+        k = (w - 8) // 8
+        if k < 1:
+            lo = 1
+            while (hi := self._next_sp(lo + 1)) is not None:
+                if hi - lo >= w:
+                    return lo, hi
+                lo = hi
+            return None
+        bits, zeros, at = self._bits, bytes(k), 1
+        while (j := bits.find(zeros, at)) >= 0:
+            hi = self._next_sp(8 * (j + k))
+            if hi is None:
+                return None
+            # Byte j - 1 is not zero, or find would have stopped there: it
+            # holds the last member below byte j, or it is byte 0, whose
+            # only member is 1, which is not SP.
+            lo = 8 * (j - 1) + (bits[j - 1] or 2).bit_length() - 1
+            if hi - lo >= w:
+                return lo, hi
+            at = (hi >> 3) + 1  # the next run of zero bytes starts past hi
+        return None
+
+    def gap_pairs(self, g: int, limit: int) -> list[tuple[int, int]]:
+        """All consecutive SP pairs (lo, hi) with hi - lo = g and hi <= limit,
+        ascending."""
+        if g < 1:
+            raise DomainError(f"need gap g >= 1, got {g}")
+        self._check_range(limit)
+        sps = takewhile(limit.__ge__, self._sps())
+        return [(lo, hi) for lo, hi in pairwise(sps) if hi - lo == g]
+
+    def prefix(self, r: int) -> list[int]:
+        """The rank-r prefix [1, sp_1, ..., sp_r] of Q."""
+        if r < 0:
+            raise MembershipError(f"need rank r >= 0, got {r}")
+        lo, count = self._block_of(r)
+        if lo is None:
+            raise CapacityError(f"rank {r} exceeds the {count} indexed SP numbers")
+        return [1, *islice(self._sps(), r)]

@@ -14,11 +14,15 @@ the given file is read and checked when it exists and covers the
 requested limit, and left as it is; otherwise Q is built and saved there.
 Results with and without a cache are identical.
 
-The point commands op, succ, pred, count and nth answer from the cache
-file's bits (``cachefile.QBits``) when it exists and covers the limit, and
-never import numpy; everything else builds Q to --limit as a numpy
-``SpSieve``, which costs less than decoding the bits. So the numpy-using
-modules are imported inside the functions that use them.
+The cached commands op, succ, pred, count, nth, fixed-point, gap-run,
+pairs and table answer from the cache file's bits (``cachefile.QBits``)
+when it exists and covers the limit, and never import numpy; without such
+a file they, and every other command always, build Q to --limit as a
+numpy ``SpSieve``, which costs less than decoding the bits. So the
+numpy-using modules are imported inside the functions that use them.
+
+The outputs that grow with the result (list, pairs and table) reach
+``_emit`` as generators, so only the chosen format is rendered.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ import os
 import signal
 import sys
 import time
+from collections.abc import Iterable
+from itertools import chain
 
 from . import cachefile, spcore
 from .errors import (
@@ -43,7 +49,16 @@ from .errors import (
     SploopError,
     ValidationError,
 )
-from .loop_algebra import cayley_table, find_nonassoc_witness, fixed_point, lop
+from .loop_algebra import (
+    cayley_rows,
+    cayley_table,
+    find_gap_run,
+    find_nonassoc_witness,
+    fixed_point,
+    longest_gap_run,
+    lop,
+    widest_gap,
+)
 
 DEFAULT_LIMIT = 10_000_000
 
@@ -209,9 +224,9 @@ def _load_or_build(args):
     return sieve if fresh else _save(args, sieve)
 
 
-def _point_index(args):
-    """Q up to --limit for op, succ, pred, count and nth: the cache file's
-    bits when it covers the limit, with no numpy, else built and saved."""
+def _cached_index(args):
+    """Q up to --limit for the cached commands: the cache file's bits when
+    it covers the limit, with no numpy, else built and saved."""
     payload = _cached_payload(args)
     if payload is not None:
         return cachefile.QBits(args.limit, payload)
@@ -242,8 +257,12 @@ def _save(args, sieve):
 # -- output ---------------------------------------------------------------
 
 
-def _emit(args, payload: dict, plain_lines: list[str],
-          csv_rows: list[list] | None = None) -> None:
+def _emit(args, payload: dict, plain_lines: Iterable[str],
+          csv_rows: Iterable[list] | None = None) -> None:
+    """Print the result in the chosen format; without ``csv_rows`` the csv
+    is the payload's keys and values. The lines and rows are iterated only
+    when their format is chosen, so a handler whose output grows with the
+    result passes generators, and the formats not chosen are never made."""
     if args.format == "json":
         print(json.dumps(payload))
     elif args.format == "plain":
@@ -296,57 +315,58 @@ def _cmd_list(args) -> int:
         chosen = sps[sps <= bound]
     values = [int(v) for v in chosen]
     payload = {"limit": q.limit, "sp": values}
-    _emit(args, payload, [str(v) for v in values],
-          [["sp"]] + [[v] for v in values])
+    _emit(args, payload, map(str, values),
+          chain([["sp"]], ([v] for v in values)))
     return EXIT_OK
 
 
 def _cmd_count(args) -> int:
-    q = _point_index(args)
+    q = _cached_index(args)
     c = q.sp_count(args.n)
     _emit(args, {"n": args.n, "sp_count": c}, [str(c)])
     return EXIT_OK
 
 
 def _cmd_succ(args) -> int:
-    q = _point_index(args)
+    q = _cached_index(args)
     v = q.successor(args.x)
     _emit(args, {"x": args.x, "successor": v}, [str(v)])
     return EXIT_OK
 
 
 def _cmd_pred(args) -> int:
-    q = _point_index(args)
+    q = _cached_index(args)
     v = q.predecessor(args.x)
     _emit(args, {"x": args.x, "predecessor": v}, [str(v)])
     return EXIT_OK
 
 
 def _cmd_nth(args) -> int:
-    q = _point_index(args)
+    q = _cached_index(args)
     v = q.nth_sp(args.r)
     _emit(args, {"r": args.r, "sp": v}, [str(v)])
     return EXIT_OK
 
 
 def _cmd_op(args) -> int:
-    q = _point_index(args)
+    q = _cached_index(args)
     v = lop(q, args.a, args.b)
     _emit(args, {"a": args.a, "b": args.b, "result": v}, [str(v)])
     return EXIT_OK
 
 
 def _cmd_table(args) -> int:
-    q = _load_or_build(args)
-    table = cayley_table(q, args.rank)
-    members = list(table.members)
-    entries = table.to_lists()
+    q = _cached_index(args)
+    members = q.prefix(args.rank)
+    entries = cayley_rows(members)
     payload = {"rank": args.rank, "members": members, "entries": entries}
-    width = len(str(members[-1]))
-    plain = [" ".join([f"{'*':>{width}}"] + [f"{v:>{width}}" for v in members])]
-    plain += [" ".join(f"{v:>{width}}" for v in [m] + row)
-              for m, row in zip(members, entries)]
-    csv_rows = [[""] + members] + [[m] + row for m, row in zip(members, entries)]
+    # One %-format per line: a format spec parsed per entry took 3.4 s of a
+    # rank-2000 table.
+    line = " ".join([f"%{len(str(members[-1]))}s"] * (len(members) + 1))
+    plain = chain([line % ("*", *members)],
+                  (line % (m, *row) for m, row in zip(members, entries)))
+    csv_rows = chain([[""] + members],
+                     ([m] + row for m, row in zip(members, entries)))
     _emit(args, payload, plain, csv_rows)
     return EXIT_OK
 
@@ -371,17 +391,15 @@ def _cmd_nonassoc(args) -> int:
 
 
 def _cmd_fixed_point(args) -> int:
-    q = _load_or_build(args)
+    q = _cached_index(args)
     a = fixed_point(q, args.q)
     _emit(args, {"q": args.q, "fixed_point": a}, [str(a)])
     return EXIT_OK
 
 
 def _cmd_gap_run(args) -> int:
-    from . import theorems
-
-    q = _load_or_build(args)
-    run = theorems.find_gap_run(q, args.n)
+    q = _cached_index(args)
+    run = find_gap_run(q, args.n)
     payload = {"n": args.n, "start": run.start, "length": run.length}
     _emit(args, payload,
           [f"{run.length} consecutive non-SP numbers starting at {run.start}"])
@@ -389,15 +407,13 @@ def _cmd_gap_run(args) -> int:
 
 
 def _cmd_pairs(args) -> int:
-    from . import theorems
-
-    q = _load_or_build(args)
+    q = _cached_index(args)
     bound = args.max if args.max is not None else q.limit
-    pairs = theorems.gap_pairs(q, args.gap, bound)
-    payload = {"gap": args.gap, "max": bound,
-               "pairs": [[p.lo, p.hi] for p in pairs]}
-    plain = [f"({p.lo}, {p.hi})" for p in pairs] or ["none"]
-    csv_rows = [["lo", "hi", "gap"]] + [[p.lo, p.hi, p.gap] for p in pairs]
+    pairs = q.gap_pairs(args.gap, bound)
+    payload = {"gap": args.gap, "max": bound, "pairs": [list(p) for p in pairs]}
+    plain = (f"({lo}, {hi})" for lo, hi in pairs) if pairs else ["none"]
+    csv_rows = chain([["lo", "hi", "gap"]],
+                     ([lo, hi, args.gap] for lo, hi in pairs))
     _emit(args, payload, plain, csv_rows)
     return EXIT_OK
 
@@ -567,14 +583,12 @@ def _suite_axioms(args, q):
 
 
 def _suite_lemma1(args, q):
-    from . import theorems
-
     checks = []
     n_max = args.n_max
     if n_max is None:
         # find_gap_run(n) needs a run of length n, so the default stops at
         # the longest run; an explicit --n-max past it is a capacity error.
-        longest = theorems.longest_gap_run(q)
+        longest = longest_gap_run(q)
         n_max = min(25, longest.length)
         if n_max < 25:
             checks.append(_check(
@@ -587,7 +601,7 @@ def _suite_lemma1(args, q):
     for n in range(1, n_max + 1):
         # Checked by factorization, a route that shares nothing with the
         # members the runs were read from.
-        run = theorems.find_gap_run(q, n)
+        run = find_gap_run(q, n)
         lo, hi = run.start, run.start + run.length
         interior_clear = not any(spcore.is_sp(v) for v in range(lo, hi))
         bounded = (lo == 1 or spcore.is_sp(lo - 1)) and spcore.is_sp(hi)
@@ -677,16 +691,15 @@ def _suite_theorem1(args, q):
     if q_max is None:
         # fixed_point(b) needs a gap of width b, so the default stops at
         # the widest gap; an explicit --q-max past it is a capacity error.
-        w = q.widest_gap()
-        widest = int(q.gaps[w])
-        q_max = min(100, widest)
+        lo, hi = widest_gap(q)
+        q_max = min(100, hi - lo)
         e = q.elements
         left_out = e[(e > q_max) & (e <= 100)]
         if left_out.size:
             checks.append(_check(
                 "default_q_max", True,
-                f"--q-max capped at the widest gap {widest} "
-                f"({int(e[w])} -> {int(e[w + 1])}): members "
+                f"--q-max capped at the widest gap {hi - lo} "
+                f"({lo} -> {hi}): members "
                 f"{', '.join(str(v) for v in left_out.tolist())} have no fixed "
                 f"point above them below limit {q.limit}"))
     elif q_max < 1:

@@ -1,4 +1,5 @@
-"""The loop on Q: the binary operation, rank prefixes, and fixed points.
+"""The loop on Q: the binary operation, rank prefixes, fixed points, and
+the SP-free runs between members.
 
 Q is {1} together with every SP number, kept in increasing order
 1 < sp_1 < sp_2 < ...  The operation is a • b = N(|a - b|), the smallest
@@ -11,16 +12,21 @@ the smallest associativity failure by exhaustive search.
 Q elements are plain ints. Membership is validated at each operation's
 boundary instead of being wrapped in a dedicated element type.
 
+Fixed points and SP-free runs are read off one gap query that every index
+answers: ``first_gap(w)``, the first consecutive members (lo, hi) of Q
+with hi - lo >= w, where 1 counts as a member. ``QIndex`` answers it from
+its record gaps and the numpy-free ``cachefile.QBits`` from a cache file's
+bits, so ``lop``, ``fixed_point`` and ``find_gap_run`` run on either.
 Only ``cayley_table`` and ``find_nonassoc_witness`` import numpy, when
-called: ``lop`` and ``fixed_point`` need no more of the index than its
-queries, so ``lop`` also runs on the numpy-free ``cachefile.QBits``.
+called; ``cayley_rows`` is the table without it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from itertools import pairwise
 
-from .errors import CapacityError, MembershipError, SploopError
+from .errors import CapacityError, DomainError, MembershipError, SploopError
+from .record import Record
 
 TYPE_CHECKING = False  # as typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
@@ -50,35 +56,39 @@ def lop(index: QIndex, a: int, b: int) -> int:
     return index.successor(abs(a - b))
 
 
-@dataclass(frozen=True)
-class SubLoop:
+class SubLoop(Record):
     """The rank-r prefix {1, sp_1, ..., sp_r}, closed under the operation."""
 
-    r: int
-    members: tuple[int, ...]
+    __slots__ = ("r", "members")
+
+    def __init__(self, r: int, members: tuple[int, ...]):
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "members", members)
 
 
 def sub_loop(index: QIndex, r: int) -> SubLoop:
-    if r < 0:
-        raise MembershipError(f"need rank r >= 0, got {r}")
-    if r >= len(index.elements):
-        raise CapacityError(
-            f"rank {r} exceeds the {len(index.elements) - 1} indexed SP numbers"
-        )
-    return SubLoop(r, tuple(int(v) for v in index.elements[: r + 1]))
+    return SubLoop(r, tuple(index.prefix(r)))
 
 
-@dataclass(frozen=True, eq=False)
-class CayleyTable:
+class CayleyTable(Record):
     """Full operation table over a rank prefix.
 
     entries[i][j] = members[i] • members[j]. Symmetric, identity row and
-    column reproduce the member list, diagonal is all 1s.
+    column reproduce the member list, diagonal is all 1s. Tables compare
+    by identity, and the repr leaves the entries out.
     """
 
-    order: int
-    members: tuple[int, ...]
-    entries: np.ndarray = field(repr=False)
+    __slots__ = ("order", "members", "entries")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, order: int, members: tuple[int, ...], entries: np.ndarray):
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "entries", entries)
+
+    def __repr__(self) -> str:
+        return f"CayleyTable(order={self.order!r}, members={self.members!r})"
 
     def to_lists(self) -> list[list[int]]:
         return self.entries.tolist()
@@ -121,15 +131,25 @@ def find_nonassoc_witness(index: QIndex, r: int) -> tuple[int, int, int] | None:
     return None
 
 
+def cayley_rows(members: list[int]) -> list[list[int]]:
+    """The entries of ``cayley_table`` over a rank prefix's members, as
+    lists and without numpy. Every |a - b| lies in [0, members[-1]), where
+    N is read off one list made by a merge pass over consecutive members."""
+    successors = [1]  # N(0)
+    for lo, hi in pairwise(members):
+        successors += [hi] * (hi - lo)  # N(x) = hi for x in [lo, hi)
+    return [[successors[abs(a - b)] for b in members] for a in members]
+
+
 def fixed_point(index: QIndex, q: int) -> int:
     """Least a > q in Q that the operation with q leaves in place.
 
-    For q = 1 that is 1 itself. For larger q the scan looks for the first
-    SP number a whose gap to its Q-predecessor is at least q: then nothing
-    of Q lies in (a - q, a), so a • q = N(a - q) = a, and every a > q with
-    that property closes such a gap. A smaller fixed point below q can
-    exist (8 • 12 = 8, while fixed_point(12) is 44). The result is
-    re-verified by direct evaluation before it is returned.
+    For q = 1 that is 1 itself. For larger q it is the upper end of the
+    first gap at least q wide: then nothing of Q lies in (a - q, a), so
+    a • q = N(a - q) = a, and every a > q with that property closes such a
+    gap. A smaller fixed point below q can exist (8 • 12 = 8, while
+    fixed_point(12) is 44). The result is re-verified by direct evaluation
+    before it is returned.
 
     Raises CapacityError with ``required=None`` when no gap of width q
     lies below the limit: no limit is known that guarantees one.
@@ -137,16 +157,75 @@ def fixed_point(index: QIndex, q: int) -> int:
     _check_member(index, q, "q")
     if q == 1:
         return 1
-    i = index.first_gap_at_least(q)
-    if i is None:
-        w = index.widest_gap()
+    gap = index.first_gap(q)
+    if gap is None:
+        lo, hi = widest_gap(index)
         raise CapacityError(
             f"no SP-free gap of width {q} below limit {index.limit}; the "
-            f"widest spans {int(index.gaps[w])} "
-            f"({int(index.elements[w])} -> {int(index.elements[w + 1])}); "
-            f"a larger limit may hold one",
+            f"widest spans {hi - lo} ({lo} -> {hi}); a larger limit may hold one",
         )
-    a = int(index.elements[i + 1])
+    a = gap[1]
     if lop(index, a, q) != a:
         raise SploopError(f"internal inconsistency: {a} • {q} != {a}")
     return a
+
+
+class GapRun(Record):
+    """Maximal block of consecutive naturals containing no SP number."""
+
+    __slots__ = ("start", "length")
+
+    def __init__(self, start: int, length: int):
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "length", length)
+
+
+def find_gap_run(index: QIndex, n: int) -> GapRun:
+    """First maximal SP-free run of length at least n, with its full length.
+
+    The run before the first SP number starts at 1; every later run lies
+    strictly between two consecutive SP numbers, so it is one gap less one.
+    """
+    if n < 1:
+        raise DomainError(f"need n >= 1, got {n}")
+    first = _first_run(index)
+    if n <= first.length:
+        return first
+    # Past the first run the gap from 1 is too narrow, so lo is an SP.
+    gap = index.first_gap(n + 1)
+    if gap is None:
+        longest = longest_gap_run(index)
+        raise CapacityError(
+            f"no SP-free run of length {n} below limit {index.limit}; the "
+            f"longest is {longest.length} non-SP numbers from {longest.start}; "
+            f"a larger limit may hold one",
+        )
+    lo, hi = gap
+    return GapRun(start=lo + 1, length=hi - lo - 1)
+
+
+def longest_gap_run(index: QIndex) -> GapRun:
+    """The longest run ``find_gap_run`` can return below the index limit,
+    the first one on ties. The index must hold an SP number."""
+    first = _first_run(index)
+    lo, hi = widest_gap(index)
+    widest = GapRun(start=lo + 1, length=hi - lo - 1)
+    return widest if widest.length > first.length else first
+
+
+def _first_run(index: QIndex) -> GapRun:
+    """1 up to the first SP number, which closes the first gap of Q (the
+    first at least 0 wide)."""
+    gap = index.first_gap(0)
+    if gap is None:
+        raise CapacityError(f"no SP numbers below limit {index.limit}")
+    return GapRun(start=1, length=gap[1] - 1)
+
+
+def widest_gap(index: QIndex) -> tuple[int, int] | None:
+    """The first of the widest gaps (lo, hi) between consecutive members,
+    found by asking for a gap one wider than the last until none is."""
+    widest, w = None, 0
+    while (gap := index.first_gap(w)) is not None:
+        widest, w = gap, gap[1] - gap[0] + 1
+    return widest

@@ -36,7 +36,7 @@ import math
 import numpy as np
 
 from . import cachefile
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, MembershipError
 from .spcore import _successor_beyond
 
 DEFAULT_MEMORY_BUDGET = 4 << 30
@@ -104,7 +104,7 @@ class QIndex:
     """Sorted members of Q (1 followed by every SP <= limit) with counts and
     order queries.
 
-    ``gaps`` and the record gaps behind ``first_gap_at_least`` are computed
+    ``gaps`` and the record gaps behind ``first_gap`` are computed
     on first use and kept: a caller that never asks a gap question never
     pays their memory (as many bytes per element as the members). ``elements``
     is a property, which ``SpSieve`` may fill on first use, so each query
@@ -171,16 +171,42 @@ class QIndex:
             self._records = (where, gaps[where])
         return self._records
 
-    def first_gap_at_least(self, w: int) -> int | None:
-        """Least i with gaps[i] >= w, or None when no gap is that wide."""
+    def first_gap(self, w: int) -> tuple[int, int] | None:
+        """The first consecutive members (lo, hi) with hi - lo >= w, or None
+        when no gap is that wide."""
         where, widths = self._record_gaps()
         k = _rank(widths, w)
-        return int(where[k]) if k < where.size else None
+        if k == where.size:
+            return None
+        i, elements = int(where[k]), self.elements
+        return int(elements[i]), int(elements[i + 1])
 
-    def widest_gap(self) -> int | None:
-        """Least i where gaps[i] is largest, or None when there are no gaps."""
-        where, _ = self._record_gaps()
-        return int(where[-1]) if where.size else None
+    def gap_pairs(self, g: int, limit: int) -> list[tuple[int, int]]:
+        """All consecutive SP pairs (lo, hi) with hi - lo = g and hi <= limit,
+        ascending."""
+        return list(zip(*self._gap_pair_ends(g, limit)))
+
+    def _gap_pair_ends(self, g: int, limit: int) -> tuple[list[int], list[int]]:
+        """The lower and the upper members of the pairs ``gap_pairs`` lists."""
+        if g < 1:
+            raise DomainError(f"need gap g >= 1, got {g}")
+        if limit > self.limit:
+            self._check_range(limit)
+        elements = self.elements
+        # gaps[0] leads from 1 to the first SP; pairs are gaps[1 : m - 1].
+        m = _rank(elements, limit, "right")
+        hits = 1 + np.flatnonzero(self.gaps[1 : max(m - 1, 1)] == g)
+        return elements[hits].tolist(), elements[hits + 1].tolist()
+
+    def prefix(self, r: int) -> list[int]:
+        """The rank-r prefix [1, sp_1, ..., sp_r] of Q."""
+        if r < 0:
+            raise MembershipError(f"need rank r >= 0, got {r}")
+        if r >= len(self.elements):
+            raise CapacityError(
+                f"rank {r} exceeds the {len(self.elements) - 1} indexed SP numbers"
+            )
+        return self.elements[: r + 1].tolist()
 
     def __len__(self) -> int:
         return len(self.elements)

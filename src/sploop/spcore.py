@@ -9,9 +9,9 @@ in the sieve module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
+from .record import Record
 
 # Witness set proven deterministic for every n < 2**64.
 _MR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
@@ -117,13 +117,15 @@ def factorize(n: int) -> dict[int, int]:
     return factors
 
 
-@dataclass(frozen=True)
-class SpDecomposition:
+class SpDecomposition(Record):
     """The unique (p, k) with n = p * k**2, p prime, k >= 2."""
 
-    n: int
-    p: int
-    k: int
+    __slots__ = ("n", "p", "k")
+
+    def __init__(self, n: int, p: int, k: int):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "k", k)
 
 
 def sp_decompose(n: int) -> SpDecomposition | None:

@@ -1,9 +1,9 @@
 """Constructions and exhaustive verifiers for the structural claims about Q.
 
-Everything here is a desk-scale check, not a proof: runs of non-SP
-numbers, SP pairs at a fixed gap, arithmetic progressions of SP numbers
-built from prime progressions, the constant-chain property of those
-progressions, the search for equal-product triples, the doubling
+Everything here is a desk-scale check, not a proof: SP pairs at a fixed
+gap, arithmetic progressions of SP numbers built from prime progressions,
+the constant-chain property of those progressions, the search for
+equal-product triples, the doubling
 property (an SP strictly between n and 2n), successor adjacency, and the
 twin-shift adjacency property. Scans either return the first
 counterexample or report absence over the whole range.
@@ -13,13 +13,13 @@ integer at a time. N(n) is constant on each [e_i, e_{i+1}) of consecutive
 members, so the doubling property fails there exactly for the n with
 e_{i+1} >= 2n; N(t) and N(t+1) can only be further apart than one step of
 Q where t + 1 is listed twice (a gap of 0); and the twin shift is
-adjacency at t = a - x. Gap runs and gap pairs read the gaps directly.
+adjacency at t = a - x. Gap pairs are the index's own ``gap_pairs``; the
+SP-free runs live in ``loop_algebra``, which reads them off ``first_gap``.
 ``tests/_oracles.py`` keeps the per-integer scans these replace.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
@@ -34,89 +34,43 @@ from .errors import (
     ValidationError,
 )
 from .loop_algebra import cayley_table, lop
+from .record import Record
 from .sieve import QIndex, _rank
 from .spcore import _successor_beyond
 
 TRIPLE_RANK_BUDGET = 2000
 
 
-@dataclass(frozen=True)
-class GapRun:
-    """Maximal block of consecutive naturals containing no SP number."""
-
-    start: int
-    length: int
-
-
-@dataclass(frozen=True)
-class SpPair:
+class SpPair(Record):
     """Consecutive SP numbers lo < hi with no SP strictly between."""
 
-    lo: int
-    hi: int
-    gap: int
+    __slots__ = ("lo", "hi", "gap")
+
+    def __init__(self, lo: int, hi: int, gap: int):
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "gap", gap)
 
 
-@dataclass(frozen=True)
-class SpAp:
+class SpAp(Record):
     """Arithmetic progression of SP numbers.
 
     chain_value, once verified, is the common value of every consecutive
     pair under the loop operation: N(common_difference).
     """
 
-    terms: tuple[int, ...]
-    common_difference: int
-    chain_value: int | None = None
+    __slots__ = ("terms", "common_difference", "chain_value")
 
-
-def find_gap_run(index: QIndex, n: int) -> GapRun:
-    """First maximal SP-free run of length at least n, with its full length.
-
-    The run before the first SP number starts at 1; every later run lies
-    strictly between two consecutive SP numbers, so it is one gap less one.
-    """
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
-    elements = index.elements
-    if len(elements) < 2:
-        raise CapacityError(f"no SP numbers below limit {index.limit}")
-    first = GapRun(start=1, length=int(elements[1]) - 1)
-    if n <= first.length:
-        return first
-    # Past the first run, gaps[0] = elements[1] - 1 < n + 1, so i >= 1.
-    i = index.first_gap_at_least(n + 1)
-    if i is None:
-        longest = longest_gap_run(index)
-        raise CapacityError(
-            f"no SP-free run of length {n} below limit {index.limit}; the "
-            f"longest is {longest.length} non-SP numbers from {longest.start}; "
-            f"a larger limit may hold one",
-        )
-    return GapRun(start=int(elements[i]) + 1, length=int(index.gaps[i]) - 1)
-
-
-def longest_gap_run(index: QIndex) -> GapRun:
-    """The longest run ``find_gap_run`` can return below the index limit,
-    the first one on ties. The index must hold an SP number."""
-    elements = index.elements
-    first = GapRun(start=1, length=int(elements[1]) - 1)
-    w = index.widest_gap()
-    widest = GapRun(start=int(elements[w]) + 1, length=int(index.gaps[w]) - 1)
-    return widest if widest.length > first.length else first
+    def __init__(self, terms: tuple[int, ...], common_difference: int,
+                 chain_value: int | None = None):
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "common_difference", common_difference)
+        object.__setattr__(self, "chain_value", chain_value)
 
 
 def gap_pairs(index: QIndex, g: int, limit: int) -> list[SpPair]:
     """All consecutive SP pairs with hi - lo = g and hi <= limit, ascending."""
-    if g < 1:
-        raise DomainError(f"need gap g >= 1, got {g}")
-    if limit > index.limit:
-        index._check_range(limit)
-    elements = index.elements
-    # gaps[0] leads from 1 to the first SP; pairs are gaps[1 : m - 1].
-    m = _rank(elements, limit, "right")
-    hits = 1 + np.flatnonzero(index.gaps[1 : max(m - 1, 1)] == g)
-    lo, hi = elements[hits].tolist(), elements[hits + 1].tolist()
+    lo, hi = index._gap_pair_ends(g, limit)
     return list(map(SpPair, lo, hi, repeat(g)))
 
 

@@ -1,15 +1,19 @@
 """The numpy-free cache reader and ``QBits``, the bit view of Q that the
-CLI's cached point commands answer from, held to ``QIndex``."""
+CLI's cached commands answer from, held to ``QIndex``."""
 
 from __future__ import annotations
 
+import random
 import struct
 import zlib
 
+import numpy as np
 import pytest
 
-from sploop import SploopError, build_sieve, lop
+from sploop import (QIndex, SploopError, build_sieve, cayley_table, find_gap_run,
+                    fixed_point, gap_pairs, lop)
 from sploop import cachefile
+from sploop.loop_algebra import cayley_rows
 
 
 def outcome(f, *args):
@@ -62,6 +66,78 @@ def test_padding_bits_are_not_members(tmp_path):
     assert bits.sp_count(117) == 25
     assert outcome(bits.successor, 117) == outcome(build_sieve(117).successor, 117)
     assert outcome(bits.nth_sp, 26) == outcome(build_sieve(117).nth_sp, 26)
+    assert_gap_queries_match(bits, build_sieve(117))
+
+
+def assert_gap_queries_match(bits, index):
+    """The gap query, and the fixed points, runs, pairs and tables read off
+    the bits, against the same questions on the index."""
+    widest = int(index.gaps.max()) if len(index) > 1 else 0
+    for w in range(0, widest + 3):
+        assert outcome(bits.first_gap, w) == outcome(index.first_gap, w), w
+    members = index.elements.tolist()
+    qs = [m for m in members if m <= widest + 20] + members[-3:]
+    for q in qs + [2, index.limit + 1]:  # and a non-member, one past the limit
+        assert outcome(fixed_point, bits, q) == outcome(fixed_point, index, q), q
+    for n in range(0, widest + 2):
+        assert outcome(find_gap_run, bits, n) == outcome(find_gap_run, index, n), n
+    limit = index.limit
+    for g in (0, 1, 2, 3, 4, 9, widest, widest + 1):
+        for bound in (-1, 0, 8, limit // 3, limit - 1, limit, limit + 1):
+            assert outcome(bits.gap_pairs, g, bound) == outcome(
+                lambda: [(p.lo, p.hi) for p in gap_pairs(index, g, bound)]), (g, bound)
+            assert outcome(bits.gap_pairs, g, bound) == \
+                outcome(index.gap_pairs, g, bound), (g, bound)
+    count = len(members) - 1
+    ranks = [-1, *range(min(count, 40) + 1), count + 1]
+    for r in ranks + [count] if count <= 300 else ranks:
+        assert outcome(bits.prefix, r) == outcome(index.prefix, r), r
+        assert outcome(lambda: (bits.prefix(r), cayley_rows(bits.prefix(r)))) == \
+            outcome(lambda: (list(cayley_table(index, r).members),
+                             cayley_table(index, r).to_lists())), r
+
+
+def assert_drawn_gaps_match(limit, members):
+    """The gap query and the pairs on bits set at members, against an index
+    of 1 and the same members."""
+    payload = bytearray(cachefile.payload_size(limit))
+    for n in members:
+        payload[n >> 3] |= 1 << (n & 7)
+    bits = cachefile.QBits(limit, payload)
+    index = QIndex(limit, np.array([1] + members, dtype=np.int64))
+    widest = int(index.gaps.max()) if members else 0
+    for w in range(0, widest + 3):
+        assert bits.first_gap(w) == index.first_gap(w), w
+    for g in range(1, 12):
+        assert bits.gap_pairs(g, limit) == \
+            [(p.lo, p.hi) for p in gap_pairs(index, g, limit)], g
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_gap_queries_on_drawn_bits(seed):
+    # Sparse and dense draws, with members anywhere from 2, so runs of zero
+    # bytes start right after a member's byte, or at byte 1.
+    rng = random.Random(seed)
+    limit = rng.randint(8, 3000)
+    density = rng.choice([0.005, 0.02, 0.05, 0.2])
+    assert_drawn_gaps_match(
+        limit, [n for n in range(2, limit + 1) if rng.random() < density])
+
+
+@pytest.mark.parametrize("members", [[8, 16, 31, 48], [15, 16, 39, 40]])
+def test_gap_queries_at_byte_edges(members):
+    # 16 -> 31 spans 15, and its 14 non-members cover no whole byte; 16 -> 39
+    # spans 23, and its 22 cover one: the fewest whole zero bytes each width
+    # can hold.
+    assert_drawn_gaps_match(50, members)
+
+
+@pytest.mark.parametrize("built_at, limit", [
+    (8, 8), (9, 9), (117, 117), (1000, 1000), (4097, 4097), (10**5, 10**5),
+    (2000, 1000),
+])
+def test_gap_queries_answer_as_the_index(tmp_path, built_at, limit):
+    assert_gap_queries_match(bits_of(tmp_path, built_at, limit), build_sieve(limit))
 
 
 def test_nth_crosses_blocks(tmp_path):
@@ -75,3 +151,15 @@ def test_nth_crosses_blocks(tmp_path):
         r = index.sp_count(n)
         if r:
             assert bits.nth_sp(r) == index.nth_sp(r)
+
+
+def test_gap_query_at_1e7(tmp_path, sieve_1e7):
+    # The widest gap below 10**7, 207 from 9275836, takes k = 24 zero bytes.
+    path = tmp_path / "q.spq"
+    sieve_1e7.save(path)
+    bits = cachefile.QBits(*cachefile.read(path))
+    for w in range(0, 210):
+        assert bits.first_gap(w) == sieve_1e7.first_gap(w), w
+    assert bits.first_gap(207) == (9275836, 9276043)
+    for n in range(1, 61):
+        assert find_gap_run(bits, n) == find_gap_run(sieve_1e7, n), n

@@ -156,6 +156,40 @@ class TestQueries:
         assert out.strip() == "27"
 
 
+# Byte for byte, as each format printed them before the formats were built
+# only when chosen; with a cache, table and pairs read its bits.
+PINNED_OUTPUT = [
+    (("table", "--rank", "3"), "csv",
+     ",1,8,12,18\n1,1,8,12,18\n8,8,1,8,12\n12,12,8,1,8\n18,18,12,8,1\n"),
+    (("table", "--rank", "3"), "plain",
+     " *  1  8 12 18\n 1  1  8 12 18\n 8  8  1  8 12\n12 12  8  1  8\n"
+     "18 18 12  8  1\n"),
+    (("pairs", "--gap", "1", "--max", "117"), "csv",
+     "lo,hi,gap\n27,28,1\n44,45,1\n75,76,1\n98,99,1\n116,117,1\n"),
+    (("pairs", "--gap", "1", "--max", "117"), "plain",
+     "(27, 28)\n(44, 45)\n(75, 76)\n(98, 99)\n(116, 117)\n"),
+    # No two SP numbers up to 117 lie 27 apart.
+    (("pairs", "--gap", "27", "--max", "117"), "csv", "lo,hi,gap\n"),
+    (("pairs", "--gap", "27", "--max", "117"), "plain", "none\n"),
+    (("verify", "--suite", "lemma3", "--to", "100"), "csv",
+     'suite,check,ok,detail\nlemma3,doubling,True,"[1, 100]: 0 failures at '
+     'n >= 5; expected small-n failures [1, 2, 3, 4]"\n'),
+    (("verify", "--suite", "lemma3", "--to", "100"), "plain",
+     "[ok] lemma3.doubling: [1, 100]: 0 failures at n >= 5; expected small-n "
+     "failures [1, 2, 3, 4]\nsuite lemma3: verified\n"),
+]
+
+
+@pytest.mark.parametrize("argv, fmt, text", PINNED_OUTPUT,
+                         ids=[f"{' '.join(a)}-{f}" for a, f, _ in PINNED_OUTPUT])
+def test_csv_and_plain_output_is_pinned(tmp_path, argv, fmt, text):
+    cache = str(tmp_path / "q.spq")
+    run("build", "--limit", "1000", "--out", cache)
+    for cached in ((), ("--cache", cache)):
+        assert run("--limit", "1000", "--format", fmt, *cached, *argv) == \
+            (0, text, "")
+
+
 class TestFindings:
     def test_triples_found_is_exit_1(self):
         code, payload = run_json("triples", "--rank", "7", "--limit", "1000")
@@ -336,13 +370,25 @@ class TestDeterminismAndCache:
         cache = tmp_path / "q.spq"
         run("build", "--limit", str(built_at), "--out", str(cache))
         before = cache.read_bytes()
-        argv = ("--limit", "1000", "--cache", str(cache), "gap-run", "8")
+        argv = ("--limit", "1000", "--cache", str(cache), "list", "--max", "117")
         quiet = run(*argv)
         code, out, err = run(*argv, "-v")
         assert quiet[2] == "" and (code, out) == quiet[:2]
         assert re.fullmatch(
             rf"loaded cache {re.escape(str(cache))} \(limit {built_at}\)\n"
             r"built sieve to 1000 in \d+\.\d\ds\n", err), err
+        assert cache.read_bytes() == before
+
+    @pytest.mark.parametrize("built_at", [1000, 2000])
+    def test_verbose_cached_gap_run_notes_only_the_load(self, tmp_path, built_at):
+        cache = tmp_path / "q.spq"
+        run("build", "--limit", str(built_at), "--out", str(cache))
+        before = cache.read_bytes()
+        argv = ("--limit", "1000", "--cache", str(cache), "gap-run", "8")
+        quiet = run(*argv)
+        assert quiet[2] == "" and quiet[:2] == run("--limit", "1000", "gap-run", "8")[:2]
+        assert run(*argv, "-v") == (
+            *quiet[:2], f"loaded cache {cache} (limit {built_at})\n")
         assert cache.read_bytes() == before
 
     def test_saves_never_build_the_flags(self, tmp_path, monkeypatch):
@@ -359,6 +405,9 @@ class TestDeterminismAndCache:
 
 POINT_COMMANDS = (["op", "164", "188"], ["succ", "24"], ["pred", "13"],
                   ["count", "117"], ["nth", "25"])
+CACHED_COMMANDS = POINT_COMMANDS + (
+    ["fixed-point", "12"], ["gap-run", "8"], ["pairs", "--gap", "1"],
+    ["table", "--rank", "5"])
 
 # The capacity and membership edges of the point commands at limit 1000,
 # whose largest SP is 981 = 109 * 3**2 and which holds 169 SP numbers.
@@ -370,21 +419,36 @@ POINT_EDGES = POINT_COMMANDS + (
     ["op", "981", "8"], ["op", "1004", "8"], ["op", "7", "8"], ["op", "1", "1"],
 )
 
+# The same for the gap commands: the widest gap below 1000 spans 27, from
+# 801 to 828, and the longest SP-free run is 26 numbers from 802.
+GAP_EDGES = CACHED_COMMANDS[len(POINT_COMMANDS):] + (
+    ["fixed-point", "117"], ["fixed-point", "7"], ["fixed-point", "1"],
+    ["fixed-point", "27"], ["fixed-point", "1004"], ["gap-run", "40"],
+    ["gap-run", "26"], ["gap-run", "27"], ["gap-run", "0"],
+    ["pairs", "--gap", "0"], ["pairs", "--gap", "27"],
+    ["pairs", "--gap", "1", "--max", "1001"], ["pairs", "--gap", "1", "--max", "-1"],
+    ["pairs", "--gap", "2", "--max", "1000"], ["table", "--rank", "0"],
+    ["table", "--rank", "-1"], ["table", "--rank", "169"], ["table", "--rank", "170"],
+)
+
 
 class TestCachedPointRoute:
     def test_cached_point_commands_never_import_numpy(self, tmp_path):
-        cache = str(tmp_path / "q.spq")
-        assert run("build", "--limit", "1000", "--out", cache)[0] == 0
+        cache = tmp_path / "q.spq"
+        assert run("build", "--limit", "1000", "--out", str(cache))[0] == 0
+        before = cache.stat()
         script = (
             "import contextlib, io, json, sys, sploop.cli\n"
             "rows = []\n"
             "for argv in json.loads(sys.argv[1]):\n"
-            "    out = io.StringIO()\n"
-            "    with contextlib.redirect_stdout(out):\n"
+            "    out, err = io.StringIO(), io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
             "        code = sploop.cli.dispatch(argv)\n"
-            "    rows.append([code, out.getvalue(), 'numpy' in sys.modules])\n"
+            "    rows.append([code, out.getvalue(), err.getvalue(),\n"
+            "                 'numpy' in sys.modules])\n"
             "print(json.dumps(rows))\n")
-        argvs = [["--limit", "1000", "--cache", cache] + c for c in POINT_COMMANDS]
+        argvs = [["--limit", "1000", "--cache", str(cache)] + c
+                 for c in CACHED_COMMANDS]
         src = os.path.dirname(os.path.dirname(sploop.__file__))
         proc = subprocess.run(
             [sys.executable, "-c", script, json.dumps(argvs)],
@@ -392,14 +456,17 @@ class TestCachedPointRoute:
             env={**os.environ, "PYTHONPATH": src})
         assert proc.returncode == 0, proc.stderr
         rows = json.loads(proc.stdout)
-        assert [numpy for _, _, numpy in rows] == [False] * len(POINT_COMMANDS)
-        assert [[code, out] for code, out, _ in rows] == [
-            list(run("--limit", "1000", *c)[:2]) for c in POINT_COMMANDS]
+        assert [numpy for *_, numpy in rows] == [False] * len(CACHED_COMMANDS)
+        assert [row[:3] for row in rows] == [
+            list(run("--limit", "1000", *c)) for c in CACHED_COMMANDS]
+        after = cache.stat()
+        assert (after.st_ino, after.st_mtime_ns, after.st_size) == \
+            (before.st_ino, before.st_mtime_ns, before.st_size)
         code, payload = run_json("fixed-point", "12", "--limit", "1000",
-                                 "--cache", cache)
+                                 "--cache", str(cache))
         assert (code, payload["fixed_point"]) == (0, 44)
 
-    @pytest.mark.parametrize("argv", POINT_EDGES, ids=" ".join)
+    @pytest.mark.parametrize("argv", POINT_EDGES + GAP_EDGES, ids=" ".join)
     def test_cached_answers_match_the_built_index(self, tmp_path, argv):
         cache = str(tmp_path / "q.spq")
         run("build", "--limit", "1000", "--out", cache)
@@ -408,7 +475,7 @@ class TestCachedPointRoute:
         assert run("--limit", "1000", "--cache", cache, "-v", *argv) == (
             *fresh[:2], f"loaded cache {cache} (limit 1000)\n" + fresh[2])
 
-    @pytest.mark.parametrize("argv", POINT_EDGES, ids=" ".join)
+    @pytest.mark.parametrize("argv", POINT_EDGES + GAP_EDGES, ids=" ".join)
     def test_cache_built_larger_is_trimmed(self, tmp_path, argv):
         cache = tmp_path / "q.spq"
         run("build", "--limit", "2000", "--out", str(cache))
@@ -444,7 +511,7 @@ class TestCachedPointRoute:
         cache.write_bytes(bytes(raw))
         listed = run("list", "--limit", "1000", "--cache", str(cache))
         assert listed[:2] == (2, "") and listed[2].startswith("error: ")
-        for argv in POINT_COMMANDS:
+        for argv in CACHED_COMMANDS:
             assert run("--limit", "1000", "--cache", str(cache), *argv) == listed
 
 
@@ -503,7 +570,7 @@ class TestVerifySuites:
         theorem1 = next(s for s in payload["suites"] if s["suite"] == "theorem1")
         note = theorem1["checks"][0]
         assert note["name"] == "default_q_max" and note["ok"]
-        assert "widest gap 51" in note["detail"]
+        assert "widest gap 51 (7325 -> 7376)" in note["detail"]
         assert "52, 63, 68, 72, 75, 76, 80, 92, 98, 99 have" in note["detail"]
         assert theorem1["checks"][-1]["name"] == "fixed_point_50"
 

@@ -34,6 +34,7 @@ from sploop import (
     gap_pairs,
     scan_bertrand,
 )
+from sploop.loop_algebra import widest_gap
 
 TOP = 2000
 
@@ -64,12 +65,15 @@ def fixed_point_or_none(index, q):
 
 
 def assert_first_gap_queries(index):
-    gaps = np.diff(index.elements)
+    e = index.elements
+    gaps = np.diff(e)
     assert np.array_equal(index.gaps, gaps)
     for w in range(int(gaps.max()) + 2):
         hits = np.flatnonzero(gaps >= w)
-        assert index.first_gap_at_least(w) == (int(hits[0]) if hits.size else None)
-    assert index.widest_gap() == int(gaps.argmax())
+        want = (int(e[hits[0]]), int(e[hits[0] + 1])) if hits.size else None
+        assert index.first_gap(w) == want, w
+    i = int(gaps.argmax())
+    assert widest_gap(index) == (int(e[i]), int(e[i + 1]))
 
 
 def assert_scans_match(index):

@@ -1,0 +1,92 @@
+"""The package's frozen records: equality within their class, hash, repr
+and frozenness, as a frozen dataclass gives them."""
+
+from __future__ import annotations
+
+import copy
+import pickle
+
+import pytest
+
+from sploop import (CayleyTable, DensityRow, DigitCensus, GapRun, HurwitzEval,
+                    SpAp, SpDecomposition, SpPair, SubLoop)
+
+# Each record with an equal twin, one that differs in one field, and its repr.
+VALUE_RECORDS = [
+    (SpDecomposition(8, 2, 2), SpDecomposition(n=8, p=2, k=2),
+     SpDecomposition(12, 3, 2), "SpDecomposition(n=8, p=2, k=2)"),
+    (GapRun(33, 11), GapRun(start=33, length=11), GapRun(33, 12),
+     "GapRun(start=33, length=11)"),
+    (SubLoop(2, (1, 8, 12)), SubLoop(r=2, members=(1, 8, 12)),
+     SubLoop(3, (1, 8, 12)), "SubLoop(r=2, members=(1, 8, 12))"),
+    (SpPair(27, 28, 1), SpPair(lo=27, hi=28, gap=1), SpPair(27, 29, 1),
+     "SpPair(lo=27, hi=28, gap=1)"),
+    (SpAp((8, 12), 4), SpAp(terms=(8, 12), common_difference=4, chain_value=None),
+     SpAp((8, 12), 4, 8),
+     "SpAp(terms=(8, 12), common_difference=4, chain_value=None)"),
+    (HurwitzEval(0.5, 4.9, 1e-12, 64),
+     HurwitzEval(a=0.5, value=4.9, abs_error_bound=1e-12, terms=64),
+     HurwitzEval(0.5, 4.9, 1e-12, 128),
+     "HurwitzEval(a=0.5, value=4.9, abs_error_bound=1e-12, terms=64)"),
+    (DensityRow(100, 30, 1.38, 0.64, 0.74),
+     DensityRow(n=100, sp_count=30, ratio=1.38, target=0.64, abs_error=0.74),
+     DensityRow(100, 31, 1.38, 0.64, 0.74),
+     "DensityRow(n=100, sp_count=30, ratio=1.38, target=0.64, abs_error=0.74)"),
+]
+
+
+@pytest.mark.parametrize("record, twin, other, text", VALUE_RECORDS,
+                         ids=[type(v[0]).__name__ for v in VALUE_RECORDS])
+def test_value_records(record, twin, other, text):
+    assert record == twin and not record != twin
+    assert record != other
+    assert hash(record) == hash(twin)
+    assert len({record, twin, other}) == 2
+    fields = tuple(getattr(record, name) for name in _field_names(text))
+    assert record != fields  # a tuple of the same values is another class
+    assert repr(record) == text
+    assert pickle.loads(pickle.dumps(record)) == record
+    assert copy.copy(record) == record
+
+
+def _field_names(text: str) -> list[str]:
+    inner = text[text.index("(") + 1 : -1]
+    return [part.split("=")[0].strip() for part in inner.split(", ")
+            if "=" in part]
+
+
+@pytest.mark.parametrize("record", [v[0] for v in VALUE_RECORDS]
+                         + [CayleyTable(order=1, members=(1,), entries=[[1]])],
+                         ids=lambda v: type(v).__name__)
+def test_records_are_frozen(record):
+    name = _field_names(repr(record))[0]
+    before = getattr(record, name)
+    with pytest.raises(AttributeError):
+        setattr(record, name, 99)
+    with pytest.raises(AttributeError):
+        delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.not_a_field = 1
+    assert getattr(record, name) == before
+
+
+def test_cayley_table_compares_by_identity_and_hides_its_entries():
+    table = CayleyTable(order=3, members=(1, 8, 12), entries=[[1, 8, 12]])
+    twin = CayleyTable(order=3, members=(1, 8, 12), entries=[[1, 8, 12]])
+    assert table == table and table != twin
+    assert hash(table) == object.__hash__(table)
+    assert repr(table) == "CayleyTable(order=3, members=(1, 8, 12))"
+    assert table.entries == [[1, 8, 12]]
+
+
+def test_digit_census_compares_by_value_and_cannot_hash_its_counts():
+    census = DigitCensus(limit=20, counts={2: 1, 8: 1}, digit1_target=0.5)
+    twin = DigitCensus(20, {2: 1, 8: 1}, 0.5)
+    assert census == twin and census != DigitCensus(20, {2: 1}, 0.5)
+    assert repr(census) == \
+        "DigitCensus(limit=20, counts={2: 1, 8: 1}, digit1_target=0.5)"
+    with pytest.raises(TypeError):
+        hash(census)  # the counts are a dict
+    with pytest.raises(AttributeError):
+        census.limit = 21
+    assert pickle.loads(pickle.dumps(census)) == census

@@ -359,14 +359,14 @@ class TestQFirst:
 
     def test_point_queries_never_copy_the_members(self, index_1e7):
         q = index_1e7
-        q.first_gap_at_least(1)  # makes the gaps and their records, kept
+        q.first_gap(1)  # makes the gaps and their records, kept
         calls = {
             "successor": (q.limit // 2,),
             "predecessor": (q.limit + 1,),
             "contains": (q.limit // 3,),
             "sp_count": (q.limit,),
             "nth_sp": (1000,),
-            "first_gap_at_least": (100,),
+            "first_gap": (100,),
         }
         for name, args in calls.items():
             tracemalloc.start()
