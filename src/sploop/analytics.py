@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError
 from .record import Record
-from .sieve import QIndex, _rank
+from .sieve import QIndex
 
 DENSITY_TARGET = math.pi * math.pi / 6 - 1
 
@@ -28,12 +28,6 @@ class HurwitzEval(Record):
     """One certified evaluation of zeta(2, a) = sum of (m + a)^-2, m >= 0."""
 
     __slots__ = ("a", "value", "abs_error_bound", "terms")
-
-    def __init__(self, a: float, value: float, abs_error_bound: float, terms: int):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "abs_error_bound", abs_error_bound)
-        object.__setattr__(self, "terms", terms)
 
 
 def hurwitz_zeta2(a: float) -> HurwitzEval:
@@ -70,14 +64,6 @@ def digit1_constant() -> float:
 class DensityRow(Record):
     __slots__ = ("n", "sp_count", "ratio", "target", "abs_error")
 
-    def __init__(self, n: int, sp_count: int, ratio: float, target: float,
-                 abs_error: float):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "sp_count", sp_count)
-        object.__setattr__(self, "ratio", ratio)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "abs_error", abs_error)
-
 
 def density_table(index: QIndex, checkpoints: list[int]) -> list[DensityRow]:
     """One row per checkpoint: ratio = sp_count(n) * ln(n) / n vs the target."""
@@ -102,11 +88,6 @@ def density_table(index: QIndex, checkpoints: list[int]) -> list[DensityRow]:
 class DigitCensus(Record):
     __slots__ = ("limit", "counts", "digit1_target")
 
-    def __init__(self, limit: int, counts: dict[int, int], digit1_target: float):
-        object.__setattr__(self, "limit", limit)
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "digit1_target", digit1_target)
-
 
 def digit_census(index: QIndex, limit: int) -> DigitCensus:
     """Exact counts of SP numbers <= limit by final decimal digit.
@@ -127,7 +108,5 @@ def digit_census(index: QIndex, limit: int) -> DigitCensus:
 def gap_histogram(index: QIndex, limit: int) -> dict[int, int]:
     """Counts of consecutive-SP gaps among SP numbers <= limit."""
     index._check_range(limit)
-    # gaps[0] leads from 1 to the first SP; SP gaps are gaps[1 : m - 1].
-    m = _rank(index.elements, limit, "right")
-    counts = np.bincount(index.gaps[1 : max(m - 1, 1)])
+    counts = np.bincount(index._sp_gaps(limit))
     return {int(g): int(counts[g]) for g in np.flatnonzero(counts)}

@@ -30,8 +30,6 @@ from .record import Record
 
 TYPE_CHECKING = False  # as typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
-    import numpy as np
-
     from .sieve import QIndex
 
 
@@ -61,10 +59,6 @@ class SubLoop(Record):
 
     __slots__ = ("r", "members")
 
-    def __init__(self, r: int, members: tuple[int, ...]):
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "members", members)
-
 
 def sub_loop(index: QIndex, r: int) -> SubLoop:
     return SubLoop(r, tuple(index.prefix(r)))
@@ -81,11 +75,6 @@ class CayleyTable(Record):
     __slots__ = ("order", "members", "entries")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
-
-    def __init__(self, order: int, members: tuple[int, ...], entries: np.ndarray):
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "entries", entries)
 
     def __repr__(self) -> str:
         return f"CayleyTable(order={self.order!r}, members={self.members!r})"
@@ -174,10 +163,6 @@ class GapRun(Record):
     """Maximal block of consecutive naturals containing no SP number."""
 
     __slots__ = ("start", "length")
-
-    def __init__(self, start: int, length: int):
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "length", length)
 
 
 def find_gap_run(index: QIndex, n: int) -> GapRun:

@@ -3,16 +3,36 @@
 ``dataclasses`` imports ``inspect``, which takes about 12 ms of the CLI's
 numpy-free start, so every record of the package derives from ``Record``
 instead, and new records should too. A record's fields are its class's
-``__slots__``, set once by its ``__init__``; like a frozen dataclass it
-compares equal to a record of the same class with equal fields, hashes and
-prints by its fields, and refuses assignment with an ``AttributeError``.
-So ``__init__`` sets each field with ``object.__setattr__``, as a frozen
-dataclass does.
+``__slots__``, named there once; like a frozen dataclass it compares equal
+to a record of the same class with equal fields, hashes and prints by its
+fields, and refuses assignment with an ``AttributeError``.
+
+Each subclass gets its ``__init__`` when it is defined, compiled from its
+``__slots__`` as ``dataclasses`` compiles one: it takes the fields in slot
+order, by position or by name, and sets each through its slot's member
+descriptor, which skips the refusing ``__setattr__``. A class keyword
+gives trailing fields their defaults::
+
+    class SpAp(Record, defaults={"chain_value": None}): ...
 """
 
 
 class Record:
     __slots__ = ()
+
+    def __init_subclass__(cls, defaults=None):
+        defaults = defaults or {}
+        fields = cls.__slots__
+        scope = {f"_set_{name}": getattr(cls, name).__set__ for name in fields}
+        scope["_defaults"] = defaults
+        params = "".join(
+            f", {name}=_defaults[{name!r}]" if name in defaults else f", {name}"
+            for name in fields)
+        body = "".join(f"\n    _set_{name}(self, {name})" for name in fields)
+        exec(f"def __init__(self{params}):{body}", scope)
+        init = scope["__init__"]
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__ = init
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)

@@ -193,10 +193,15 @@ class QIndex:
         if limit > self.limit:
             self._check_range(limit)
         elements = self.elements
-        # gaps[0] leads from 1 to the first SP; pairs are gaps[1 : m - 1].
-        m = _rank(elements, limit, "right")
-        hits = 1 + np.flatnonzero(self.gaps[1 : max(m - 1, 1)] == g)
+        hits = 1 + np.flatnonzero(self._sp_gaps(limit) == g)
         return elements[hits].tolist(), elements[hits + 1].tolist()
+
+    def _sp_gaps(self, limit: int) -> np.ndarray:
+        """The gaps between consecutive SP numbers <= limit, ascending by
+        their lower end: entry i leads from ``elements[i + 1]``."""
+        # gaps[0] leads from 1 to the first SP; SP gaps are gaps[1 : m - 1].
+        m = _rank(self.elements, limit, "right")
+        return self.gaps[1 : max(m - 1, 1)]
 
     def prefix(self, r: int) -> list[int]:
         """The rank-r prefix [1, sp_1, ..., sp_r] of Q."""

@@ -122,11 +122,6 @@ class SpDecomposition(Record):
 
     __slots__ = ("n", "p", "k")
 
-    def __init__(self, n: int, p: int, k: int):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "k", k)
-
 
 def sp_decompose(n: int) -> SpDecomposition | None:
     """Return the unique prime-times-square decomposition, or None.

@@ -46,13 +46,8 @@ class SpPair(Record):
 
     __slots__ = ("lo", "hi", "gap")
 
-    def __init__(self, lo: int, hi: int, gap: int):
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "gap", gap)
 
-
-class SpAp(Record):
+class SpAp(Record, defaults={"chain_value": None}):
     """Arithmetic progression of SP numbers.
 
     chain_value, once verified, is the common value of every consecutive
@@ -60,12 +55,6 @@ class SpAp(Record):
     """
 
     __slots__ = ("terms", "common_difference", "chain_value")
-
-    def __init__(self, terms: tuple[int, ...], common_difference: int,
-                 chain_value: int | None = None):
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "common_difference", common_difference)
-        object.__setattr__(self, "chain_value", chain_value)
 
 
 def gap_pairs(index: QIndex, g: int, limit: int) -> list[SpPair]:
@@ -283,8 +272,7 @@ def check_twin_shift(
     repeated = _repeated_values(index)
     if repeated.size == 0:
         return None
-    for twin in gap_pairs(index, 1, limit):
-        a = twin.lo
+    for a, _ in index.gap_pairs(1, limit):
         for v in repeated[::-1].tolist():
             x = a + 1 - v
             if x >= a:

@@ -94,10 +94,11 @@ def test_import_loads_no_numpy():
             "from sploop import is_sp, lop, CapacityError; "
             "print('numpy' in sys.modules); "
             "import sploop.cli; "
-            "print('numpy' in sys.modules, 'dataclasses' in sys.modules)")
+            "print('numpy' in sys.modules, 'dataclasses' in sys.modules, "
+            "'inspect' in sys.modules)")
     src = os.path.dirname(os.path.dirname(sploop.__file__))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=60,
                           env={**os.environ, "PYTHONPATH": src})
-    assert (proc.returncode, proc.stdout) == (0, "False\nFalse False\n"), \
+    assert (proc.returncode, proc.stdout) == (0, "False\nFalse False False\n"), \
         proc.stderr

@@ -1,5 +1,6 @@
-"""The package's frozen records: equality within their class, hash, repr
-and frozenness, as a frozen dataclass gives them."""
+"""The package's frozen records: construction by position or by name,
+equality within their class, hash, repr and frozenness, as a frozen
+dataclass gives them."""
 
 from __future__ import annotations
 
@@ -90,3 +91,45 @@ def test_digit_census_compares_by_value_and_cannot_hash_its_counts():
     with pytest.raises(AttributeError):
         census.limit = 21
     assert pickle.loads(pickle.dumps(census)) == census
+
+
+# Each record class with one value per field, in field order.
+CONSTRUCTIONS = [
+    (SpDecomposition, {"n": 8, "p": 2, "k": 2}),
+    (GapRun, {"start": 33, "length": 11}),
+    (SubLoop, {"r": 2, "members": (1, 8, 12)}),
+    (CayleyTable, {"order": 1, "members": (1,), "entries": [[1]]}),
+    (SpPair, {"lo": 27, "hi": 28, "gap": 1}),
+    (SpAp, {"terms": (8, 12), "common_difference": 4, "chain_value": 8}),
+    (HurwitzEval, {"a": 0.5, "value": 4.9, "abs_error_bound": 1e-12,
+                   "terms": 64}),
+    (DensityRow, {"n": 100, "sp_count": 30, "ratio": 1.38, "target": 0.64,
+                  "abs_error": 0.74}),
+    (DigitCensus, {"limit": 20, "counts": {2: 1}, "digit1_target": 0.5}),
+]
+
+
+@pytest.mark.parametrize("cls, fields", CONSTRUCTIONS,
+                         ids=[v[0].__name__ for v in CONSTRUCTIONS])
+def test_records_build_by_position_or_by_name(cls, fields):
+    values = list(fields.values())
+    first, *_, last = fields
+    rest = {name: fields[name] for name in fields if name != first}
+    for record in (cls(*values), cls(**fields), cls(values[0], **rest)):
+        assert [getattr(record, name) for name in fields] == values
+    with pytest.raises(TypeError):  # a missing field
+        cls(values[0])
+    with pytest.raises(TypeError):
+        cls(**rest)
+    with pytest.raises(TypeError):  # an unknown keyword
+        cls(*values, not_a_field=1)
+    with pytest.raises(TypeError):  # an extra positional argument
+        cls(*values, 99)
+    with pytest.raises(TypeError):  # a field given twice
+        cls(*values, **{last: values[-1]})
+
+
+def test_sp_ap_chain_value_defaults_to_none():
+    assert SpAp((8, 12), 4).chain_value is None
+    assert SpAp(terms=(8, 12), common_difference=4).chain_value is None
+    assert SpAp((8, 12), 4) == SpAp((8, 12), 4, None)
