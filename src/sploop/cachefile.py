@@ -6,14 +6,16 @@ one bit per number in [0, limit] (bit n % 8 of byte n // 8, set iff n is
 SP; padding bits past the limit are not members), then the payload's
 CRC-32. ``read`` and ``write`` are the only code that knows the header and
 the checks; ``SpSieve`` packs the payload with numpy (its load checks the
-file, then builds), and ``QBits``, the only reader of the bits, answers
-every cached CLI command from them without importing numpy: the point
-questions, the gap query behind fixed points and SP-free runs, the pairs
-at a gap, and the rank prefix of an operation table.
+file, then builds), and ``build_payload`` builds it from byte slices.
+``QBits``, the only reader of the bits, answers every cached CLI command
+from them without importing numpy: the point questions, the gap query
+behind fixed points and SP-free runs, the pairs at a gap, and the rank
+prefix of an operation table.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import zlib
@@ -89,6 +91,32 @@ def write(path, limit: int, payload) -> None:
         raise
 
 
+def build_payload(limit: int) -> bytes:
+    """The v1 payload of Q up to limit >= 8, built without numpy.
+
+    An odd-only sieve flags the primes to limit // 4, a byte per number.
+    Then, for k = 2, 3, ... ascending, byte j * k**2 is assigned prime(j).
+    No OR is needed: a member n = p * j**2 lies on the k**2 stride just when
+    k divides j, every k < j writes prime(p * (j/k)**2) = 0, and k = j
+    writes 1 last. A non-member is only ever written 0. (Descending k fails
+    from 32 = 2 * 4**2 on, which k = 2 then resets as 8 * 2**2.) Every
+    eighth flag from b is bit b of the payload's bytes.
+    """
+    top = limit // 4
+    primes = bytearray(top + 1)
+    primes[2], primes[3::2] = 1, b"\x01" * len(range(3, top + 1, 2))
+    for p in range(3, math.isqrt(top) + 1, 2):
+        if primes[p]:
+            primes[p * p :: 2 * p] = bytes(len(range(p * p, top + 1, 2 * p)))
+    flags = bytearray(8 * payload_size(limit))
+    for k in range(2, math.isqrt(limit // 2) + 1):
+        flags[k * k : limit + 1 : k * k] = primes[1 : limit // (k * k) + 1]
+    bits = 0
+    for b in range(8):
+        bits |= int.from_bytes(flags[b::8], "little") << b
+    return bits.to_bytes(payload_size(limit), "little")
+
+
 class QBits:
     """Q up to limit, read off a v1 payload's bits: the CLI's cached
     questions without numpy. Each query gives the same answer, error type,
@@ -107,6 +135,10 @@ class QBits:
         bits[-1] &= (2 << (limit & 7)) - 1  # no member past the limit
         self.limit = limit
         self._bits = bits
+
+    def save(self, path) -> None:
+        """Write the v1 cache file of Q up to this limit."""
+        write(path, self.limit, self._bits)
 
     def _is_sp(self, n: int) -> int:
         return self._bits[n >> 3] >> (n & 7) & 1

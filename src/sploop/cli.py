@@ -15,11 +15,11 @@ requested limit, and left as it is; otherwise Q is built and saved there.
 Results with and without a cache are identical.
 
 The cached commands op, succ, pred, count, nth, fixed-point, gap-run,
-pairs and table answer from the cache file's bits (``cachefile.QBits``)
-when it exists and covers the limit, and never import numpy; without such
-a file they, and every other command always, build Q to --limit as a
-numpy ``SpSieve``, which costs less than decoding the bits. So the
-numpy-using modules are imported inside the functions that use them.
+pairs and table, and build, answer from the cache file's bits
+(``cachefile.QBits``) when it exists and covers the limit, else from bits
+built without numpy (``cachefile.build_payload``) up to ``PURE_BUILD_MAX``.
+Above it, and for every other command, Q is built as a numpy ``SpSieve``;
+the numpy-using modules are imported inside the functions that use them.
 
 The outputs that grow with the result (list, pairs and table) reach
 ``_emit`` as generators, so only the chosen format is rendered.
@@ -61,6 +61,10 @@ from .loop_algebra import (
 )
 
 DEFAULT_LIMIT = 10_000_000
+# The largest limit at which the cached commands build Q without numpy: that
+# build costs ~10 ns a number, numpy's ~1.3 ns plus its import (they met
+# between 1.5e7 and 1.75e7 on a 2-core x86 host).
+PURE_BUILD_MAX = 15_000_000
 
 EXIT_OK = 0
 EXIT_FINDING = 1
@@ -225,24 +229,28 @@ def _load_or_build(args):
 
 
 def _cached_index(args):
-    """Q up to --limit for the cached commands: the cache file's bits when
-    it covers the limit, with no numpy, else built and saved."""
+    """Q up to --limit for the cached commands and build: the cache file's
+    bits when it covers the limit, else built and saved, without numpy up
+    to ``PURE_BUILD_MAX``."""
     payload = _cached_payload(args)
     if payload is not None:
         return cachefile.QBits(args.limit, payload)
-    return _save(args, _build(args))
+    return _save(args, _build(args, pure=args.limit <= PURE_BUILD_MAX))
 
 
-def _build(args):
-    """Q built up to --limit."""
-    from .sieve import build_sieve
-
+def _build(args, pure=False):
+    """Q built up to --limit: its bits in pure Python, or a numpy sieve."""
     started = time.monotonic()
-    sieve = build_sieve(args.limit)
+    if pure:
+        q = cachefile.QBits(args.limit, cachefile.build_payload(args.limit))
+    else:
+        from .sieve import build_sieve
+
+        q = build_sieve(args.limit)
     if args.verbose:
         print(f"built sieve to {args.limit} in {time.monotonic() - started:.2f}s",
               file=sys.stderr)
-    return sieve
+    return q
 
 
 def _save(args, sieve):
@@ -281,9 +289,8 @@ def _emit(args, payload: dict, plain_lines: Iterable[str],
 
 
 def _cmd_build(args) -> int:
-    q = _load_or_build(args)
-    count = q.sp_count(q.limit)
-    largest = int(q.elements[-1])
+    q = _cached_index(args)
+    count, largest = q.sp_count(q.limit), q.max_element
     out = getattr(args, "out", None)
     if out:
         q.save(out)

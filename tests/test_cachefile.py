@@ -1,8 +1,11 @@
 """The numpy-free cache reader and ``QBits``, the bit view of Q that the
-CLI's cached commands answer from, held to ``QIndex``."""
+CLI's cached commands answer from, held to ``QIndex``, and the numpy-free
+payload builder, held to ``SpSieve.save``."""
 
 from __future__ import annotations
 
+import hashlib
+import math
 import random
 import struct
 import zlib
@@ -14,6 +17,8 @@ from sploop import (QIndex, SploopError, build_sieve, cayley_table, find_gap_run
                     fixed_point, gap_pairs, lop)
 from sploop import cachefile
 from sploop.loop_algebra import cayley_rows
+
+from _oracles import is_prime_slow, sp_list_slow
 
 
 def outcome(f, *args):
@@ -163,3 +168,73 @@ def test_gap_query_at_1e7(tmp_path, sieve_1e7):
     assert bits.first_gap(207) == (9275836, 9276043)
     for n in range(1, 61):
         assert find_gap_run(bits, n) == find_gap_run(sieve_1e7, n), n
+
+
+# -- the payload built without numpy, held to the numpy save ---------------
+
+# SHA-256 of the whole v1 file at 5 * 10**5 and 10**7, as the benchmark pins
+# them.
+V1_SHA256 = {
+    500_000: "14f85f563d06ed2deede8dc52f7036e288965be2e5e4a458dadd7d5eb0b8d851",
+    10**7: "5b0c51bc2292ce86d1d1beecdb5d389bb45b8b95c8ce7152677bb37984557f71",
+}
+
+
+def saved_payload(tmp_path, sieve) -> bytes:
+    path = tmp_path / f"lib{sieve.limit}.spq"
+    sieve.save(path)
+    return cachefile.read(path)[1].tobytes()
+
+
+def test_pure_payload_is_the_save_at_every_small_limit(tmp_path):
+    for limit in range(8, 601):
+        assert cachefile.build_payload(limit) == \
+            saved_payload(tmp_path, build_sieve(limit)), limit
+
+
+# 131071-131073 cross a byte and the 2**17 slice of the numpy packer;
+# 7996 = 4 * 1999 and 17991 = 9 * 1999 put p = 1999 on the k = 2 and k = 3
+# strides at the limit; at 20000 = 2 * 100**2, k = 100 joins the loop.
+@pytest.mark.parametrize("limit", [131071, 131072, 131073, 7995, 7996,
+                                   17990, 17991, 19999, 20000])
+def test_pure_payload_is_the_save_at_edges(tmp_path, limit):
+    assert cachefile.build_payload(limit) == \
+        saved_payload(tmp_path, build_sieve(limit))
+
+
+def test_pure_payload_keeps_members_on_several_strides():
+    # 32 = 2 * 4**2 is also 8 * 2**2, and 72 = 2 * 6**2 also 18 * 2**2 and
+    # 8 * 3**2: the stride of a smaller k must not clear them.
+    bits = cachefile.QBits(600, cachefile.build_payload(600))
+    assert [n for n in range(601) if bits.contains(n) and n > 1] == \
+        sp_list_slow(600)
+    for limit in (32, 72):
+        assert cachefile.QBits(limit, cachefile.build_payload(limit)).contains(limit)
+
+
+def descending_payload(limit: int) -> bytes:
+    """``build_payload`` with the k loop reversed, the order that fails."""
+    top = limit // 4
+    primes = bytearray(int(is_prime_slow(n)) for n in range(top + 1))
+    flags = bytearray(8 * cachefile.payload_size(limit))
+    for k in range(math.isqrt(limit // 2), 1, -1):
+        flags[k * k : limit + 1 : k * k] = primes[1 : limit // (k * k) + 1]
+    return bytes(sum(flags[8 * i + b] << b for b in range(8))
+                 for i in range(len(flags) // 8))
+
+
+def test_descending_k_would_break_from_32():
+    for limit in range(8, 200):
+        pure = cachefile.build_payload(limit)
+        assert (descending_payload(limit) == pure) == (limit < 32), limit
+
+
+@pytest.mark.parametrize("limit", V1_SHA256)
+def test_pure_payload_pins_the_v1_sha256(tmp_path, limit, request):
+    sieve = (request.getfixturevalue("sieve_1e7") if limit == 10**7
+             else build_sieve(limit))
+    payload = cachefile.build_payload(limit)
+    assert payload == saved_payload(tmp_path, sieve)
+    path = tmp_path / "pure.spq"
+    cachefile.QBits(limit, payload).save(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == V1_SHA256[limit]

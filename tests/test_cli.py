@@ -12,6 +12,8 @@ import sys
 import pytest
 
 import sploop
+import sploop.cli
+import sploop.sieve
 from sploop import SpSieve, build_sieve, load_cache
 from sploop.cli import dispatch
 
@@ -432,9 +434,14 @@ GAP_EDGES = CACHED_COMMANDS[len(POINT_COMMANDS):] + (
 )
 
 
+def numpy_route(monkeypatch):
+    """Make every CLI build in this process take the numpy route."""
+    monkeypatch.setattr(sploop.cli, "PURE_BUILD_MAX", 0)
+
+
 class TestCachedPointRoute:
-    def test_cached_point_commands_never_import_numpy(self, tmp_path):
-        cache = tmp_path / "q.spq"
+    def test_cached_point_commands_never_import_numpy(self, tmp_path, monkeypatch):
+        cache, built, out = (tmp_path / name for name in ("q.spq", "b.spq", "o.spq"))
         assert run("build", "--limit", "1000", "--out", str(cache))[0] == 0
         before = cache.stat()
         script = (
@@ -447,8 +454,11 @@ class TestCachedPointRoute:
             "    rows.append([code, out.getvalue(), err.getvalue(),\n"
             "                 'numpy' in sys.modules])\n"
             "print(json.dumps(rows))\n")
-        argvs = [["--limit", "1000", "--cache", str(cache)] + c
-                 for c in CACHED_COMMANDS]
+        commands = [*CACHED_COMMANDS, ["build"]]
+        argvs = ([["--limit", "1000", "--cache", str(cache)] + c for c in commands]
+                 + [["--limit", "1000"] + c for c in commands]
+                 + [["--limit", "1000", "--cache", str(built), "count", "117"],
+                    ["--limit", "1000", "build", "--out", str(out)]])
         src = os.path.dirname(os.path.dirname(sploop.__file__))
         proc = subprocess.run(
             [sys.executable, "-c", script, json.dumps(argvs)],
@@ -456,15 +466,62 @@ class TestCachedPointRoute:
             env={**os.environ, "PYTHONPATH": src})
         assert proc.returncode == 0, proc.stderr
         rows = json.loads(proc.stdout)
-        assert [numpy for *_, numpy in rows] == [False] * len(CACHED_COMMANDS)
-        assert [row[:3] for row in rows] == [
-            list(run("--limit", "1000", *c)) for c in CACHED_COMMANDS]
+        assert [numpy for *_, numpy in rows] == [False] * len(argvs)
+        numpy_route(monkeypatch)
+        assert [row[:3] for row in rows[:-2]] == [
+            list(run("--limit", "1000", *c)) for c in commands * 2]
         after = cache.stat()
         assert (after.st_ino, after.st_mtime_ns, after.st_size) == \
             (before.st_ino, before.st_mtime_ns, before.st_size)
+        library = tmp_path / "lib.spq"
+        build_sieve(1000).save(library)
+        assert built.read_bytes() == out.read_bytes() == cache.read_bytes() \
+            == library.read_bytes()
         code, payload = run_json("fixed-point", "12", "--limit", "1000",
                                  "--cache", str(cache))
         assert (code, payload["fixed_point"]) == (0, 44)
+
+    @pytest.mark.parametrize("argv", POINT_EDGES + GAP_EDGES, ids=" ".join)
+    def test_uncached_answers_match_the_built_index(self, monkeypatch, argv):
+        pure = run("--limit", "1000", *argv)
+        numpy_route(monkeypatch)
+        assert pure == run("--limit", "1000", *argv)
+
+    @pytest.mark.parametrize("argv, code, tail", [
+        (["op", "1004", "8"], 3, "(try --limit 1004)\n"),  # required = x
+        (["pred", "1002"], 3, "(try --limit 1002)\n"),
+        (["succ", "981"], 3, "(try --limit 1004)\n"),  # N(981) = 251 * 2**2
+        (["op", "7", "8"], 2, "a=7 is not 1 and not an SP number\n"),
+    ])
+    def test_uncached_edges_exit_as_documented(self, argv, code, tail):
+        result = run("--limit", "1000", *argv)
+        assert result[:2] == (code, "") and result[2].endswith(tail)
+
+    @pytest.mark.parametrize("argv", [*CACHED_COMMANDS, ["build"]], ids=" ".join)
+    def test_the_crossover_picks_the_route(self, monkeypatch, argv):
+        def refused(*_args, **_kwargs):
+            raise AssertionError("the refused route was taken")
+
+        expected = run("--limit", "1000", *argv)
+        monkeypatch.setattr(sploop.cli, "PURE_BUILD_MAX", 1000)
+        monkeypatch.setattr(sploop.sieve, "build_sieve", refused)
+        assert run("--limit", "1000", *argv) == expected
+        monkeypatch.undo()
+        monkeypatch.setattr(sploop.cli, "PURE_BUILD_MAX", 999)
+        monkeypatch.setattr(sploop.cachefile, "build_payload", refused)
+        assert run("--limit", "1000", *argv) == expected
+
+    def test_build_out_from_a_larger_cache_is_a_direct_build(self, tmp_path):
+        cache, trimmed, direct = (str(tmp_path / name)
+                                  for name in ("c.spq", "t.spq", "d.spq"))
+        run("build", "--limit", "2000", "--out", cache)
+        before = open(cache, "rb").read()
+        code, payload = run_json("--limit", "1000", "--cache", cache,
+                                 "build", "--out", trimmed)
+        assert (code, payload) == (0, {**run_json(
+            "--limit", "1000", "build", "--out", direct)[1], "out": trimmed})
+        assert open(trimmed, "rb").read() == open(direct, "rb").read()
+        assert open(cache, "rb").read() == before
 
     @pytest.mark.parametrize("argv", POINT_EDGES + GAP_EDGES, ids=" ".join)
     def test_cached_answers_match_the_built_index(self, tmp_path, argv):
