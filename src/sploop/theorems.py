@@ -20,6 +20,7 @@ SP-free runs live in ``loop_algebra``, which reads them off ``first_gap``.
 
 from __future__ import annotations
 
+import gc
 from itertools import repeat
 
 import numpy as np
@@ -33,7 +34,7 @@ from .errors import (
     SearchBudgetError,
     ValidationError,
 )
-from .loop_algebra import cayley_table, lop
+from .loop_algebra import lop
 from .record import Record
 from .sieve import QIndex, _rank
 from .spcore import _successor_beyond
@@ -58,9 +59,22 @@ class SpAp(Record, defaults={"chain_value": None}):
 
 
 def gap_pairs(index: QIndex, g: int, limit: int) -> list[SpPair]:
-    """All consecutive SP pairs with hi - lo = g and hi <= limit, ascending."""
+    """All consecutive SP pairs with hi - lo = g and hi <= limit, ascending.
+
+    The cycle collector is paused while the records are made. Each holds
+    three ints, so none can be part of a reference cycle, yet the
+    collector would make full passes over the growing list of them; at
+    1e8, with 214,712 gap-1 pairs, those passes took most of the time.
+    The collector is turned back on only if it was on.
+    """
     lo, hi = index._gap_pair_ends(g, limit)
-    return list(map(SpPair, lo, hi, repeat(g)))
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        return list(map(SpPair, lo, hi, repeat(g)))
+    finally:
+        if was:
+            gc.enable()
 
 
 def _primorial_below(n: int) -> int:
@@ -172,9 +186,16 @@ def search_equal_triple(index: QIndex, r: int) -> tuple[int, int, int] | None:
     """First distinct a < b < c in the rank-r prefix with
     a • b = b • c = a • c, or None when no such triple exists.
 
-    The enumeration is cubic in r, so ranks above the budget are refused.
-    Pairs (a, b) are scanned in lexicographic order; candidates c are kept
-    only where b • c matches a • b, and a • c is checked on the survivors.
+    Pairs (a, b) are taken in lexicographic order, and for the first pair
+    that has one, the smallest c. Ranks above the budget are refused.
+
+    Runs of one row suffice. With a = m_i fixed, a • m_j = N(m_j - m_i)
+    never falls as j grows, so b < c with a • b = a • c lie in one run of
+    equal values of row i. So for each i, with offsets t = 1, 2, ... until
+    no run is longer than t, the candidates are the j whose row value
+    recurs at j + t, and those with m_j • m_{j+t} equal to it are
+    triples. Row i costs as many array passes as its longest run, and no
+    r x r table is made.
     """
     if r < 0:
         raise DomainError(f"need rank r >= 0, got {r}")
@@ -186,16 +207,26 @@ def search_equal_triple(index: QIndex, r: int) -> tuple[int, int, int] | None:
         raise CapacityError(
             f"rank {r} exceeds the {len(index.elements) - 1} indexed SP numbers"
         )
-    table = cayley_table(index, r)
-    m, pair = table.members, table.entries
-    s = len(m)
-    for i in range(s - 2):
-        for j in range(i + 1, s - 1):
-            v = pair[i, j]
-            hit = np.flatnonzero((pair[j, j + 1 :] == v) & (pair[i, j + 1 :] == v))
-            if hit.size:
-                k = j + 1 + int(hit[0])
-                return m[i], m[j], m[k]
+    members = index.prefix(r)
+    m = np.asarray(members, dtype=np.int64)  # m[k] - m[j] wraps if unsigned
+    # Every difference of two members lies in [0, m[-1]); N is gathered there.
+    succ = index.successor_many(np.arange(m[-1]))
+    for i in range(len(m) - 2):
+        tail = m[i + 1 :]
+        row = succ[tail - m[i]]  # row[x] = m_i • tail[x]
+        best = None  # (x, t) of the least b = tail[x], then the least t
+        t = 1
+        while True:
+            x = np.flatnonzero(row[:-t] == row[t:])
+            if not x.size:
+                break  # no run is longer than t
+            x = x[succ[tail[x + t] - tail[x]] == row[x]]
+            if x.size and (best is None or x[0] < best[0]):
+                best = (int(x[0]), t)
+            t += 1
+        if best is not None:
+            j = i + 1 + best[0]
+            return members[i], members[j], members[j + best[1]]
     return None
 
 

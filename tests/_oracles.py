@@ -166,3 +166,31 @@ def gap_histogram_slow(elements: np.ndarray, limit: int) -> dict[int, int]:
         return {}
     gaps, counts = np.unique(np.diff(sps), return_counts=True)
     return {int(g): int(c) for g, c in zip(gaps, counts)}
+
+
+# -- the equal-product triple search over a full table ---------------------
+
+
+def pairwise_table_slow(elements: np.ndarray, r: int) -> tuple[list[int], np.ndarray]:
+    """The rank-r prefix m of a member array and the (r+1) x (r+1) table of
+    N(|m_i - m_j|), each entry by its own searchsorted."""
+    m = elements[: r + 1].astype(np.int64)
+    diffs = np.abs(m[:, None] - m[None, :])
+    return m.tolist(), elements[np.searchsorted(elements, diffs, side="right")]
+
+
+def search_equal_triple_slow(
+    m: list[int], pair: np.ndarray
+) -> tuple[int, int, int] | None:
+    """First a < b < c among the members m with a • b = b • c = a • c,
+    given their table pair: pairs (a, b) in lexicographic order, then the
+    smallest c; or None."""
+    s = len(m)
+    for i in range(s - 2):
+        for j in range(i + 1, s - 1):
+            v = pair[i, j]
+            hit = np.flatnonzero((pair[j, j + 1 :] == v) & (pair[i, j + 1 :] == v))
+            if hit.size:
+                k = j + 1 + int(hit[0])
+                return m[i], m[j], m[k]
+    return None

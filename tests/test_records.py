@@ -11,6 +11,7 @@ import pytest
 
 from sploop import (CayleyTable, DensityRow, DigitCensus, GapRun, HurwitzEval,
                     SpAp, SpDecomposition, SpPair, SubLoop)
+from sploop.record import Record
 
 # Each record with an equal twin, one that differs in one field, and its repr.
 VALUE_RECORDS = [
@@ -133,3 +134,49 @@ def test_sp_ap_chain_value_defaults_to_none():
     assert SpAp((8, 12), 4).chain_value is None
     assert SpAp(terms=(8, 12), common_difference=4).chain_value is None
     assert SpAp((8, 12), 4) == SpAp((8, 12), 4, None)
+
+
+class Empty(Record):
+    __slots__ = ()
+
+
+class Twin(SpPair):
+    __slots__ = ()
+
+
+class Named(GapRun):
+    __slots__ = ("name",)
+
+
+def test_a_subclass_without_fields_keeps_its_base_fields():
+    twin = Twin(27, 28, 1)
+    assert (twin.lo, twin.hi, twin.gap) == (27, 28, 1)
+    assert twin == Twin(lo=27, hi=28, gap=1) != SpPair(27, 28, 1)
+    assert repr(twin) == "Twin(lo=27, hi=28, gap=1)"
+    with pytest.raises(TypeError):
+        Twin(27, 28)
+    assert Empty() == Empty() and repr(Empty()) == "Empty()"
+
+
+def test_a_subclass_adds_its_fields_after_its_base_fields():
+    run = Named(33, 11, "first")
+    assert (run.start, run.length, run.name) == (33, 11, "first")
+    assert run == Named(start=33, length=11, name="first")
+    assert run != Named(33, 12, "first") and run != Named(33, 11, "other")
+    assert hash(run) == hash(Named(33, 11, "first"))
+    assert repr(run) == "Named(start=33, length=11, name='first')"
+    with pytest.raises(TypeError):
+        Named("first")
+    with pytest.raises(AttributeError):
+        run.start = 1
+    assert pickle.loads(pickle.dumps(run)) == run
+
+
+def test_a_subclass_inherits_defaults_and_keeps_them_trailing():
+    class Tagged(SpAp, defaults={"tag": ""}):
+        __slots__ = ("tag",)
+
+    assert Tagged((8, 12), 4) == Tagged((8, 12), 4, None, "")
+    with pytest.raises(TypeError, match="without a default"):
+        class Untagged(SpAp):
+            __slots__ = ("tag",)

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,8 +12,10 @@ from sploop import (
     DomainError,
     GapRun,
     NotFoundError,
+    QIndex,
     SearchBudgetError,
     SpAp,
+    SpPair,
     ValidationError,
     check_adjacency,
     check_twin_shift,
@@ -24,6 +29,8 @@ from sploop import (
     sp_ap_from_terms,
     verify_bullet_chain,
 )
+
+from _oracles import pairwise_table_slow, search_equal_triple_slow
 
 
 class TestGapRuns:
@@ -75,6 +82,28 @@ class TestGapPairs:
             gap_pairs(index_117, 0, 100)
         with pytest.raises(CapacityError):
             gap_pairs(index_117, 1, 500)
+
+    def test_records_are_the_index_pairs(self, index_1e4):
+        for g in (1, 2, 4, 9):
+            assert gap_pairs(index_1e4, g, 10**4) == [
+                SpPair(lo, hi, g) for lo, hi in index_1e4.gap_pairs(g, 10**4)]
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_collector_left_as_found(self, index_1e4, enabled):
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            assert gap_pairs(index_1e4, 1, 10**4)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    def test_refused_arguments_leave_the_collector_on(self, index_117):
+        assert gc.isenabled()
+        for g, limit, error in ((0, 100, DomainError), (1, 500, CapacityError)):
+            with pytest.raises(error):
+                gap_pairs(index_117, g, limit)
+            assert gc.isenabled()
 
 
 class TestPrimeAp:
@@ -190,6 +219,69 @@ class TestEqualTriples:
     def test_rank_capacity(self, index_117):
         with pytest.raises(CapacityError):
             search_equal_triple(index_117, 100)
+
+    def test_agrees_with_the_table_scan_at_every_rank(self, index_1e4):
+        assert len(index_1e4.elements) - 1 == index_1e4.sp_count(10**4) == 1230
+        for r, triple in enumerate(_slow_answers(index_1e4.elements)):
+            assert search_equal_triple(index_1e4, r) == triple, r
+
+    def test_agrees_with_the_table_scan_at_1e5(self, index_1e5):
+        assert len(index_1e5.elements) - 1 == 9036
+        for r in (7, 307, 1000, 1999, 2000):
+            assert search_equal_triple(index_1e5, r) == search_equal_triple_slow(
+                *pairwise_table_slow(index_1e5.elements, r)), r
+
+    def test_agrees_with_the_table_scan_past_the_first_rows(self):
+        # In Q the first triple starts at 27, the sixth member. Members in
+        # clusters, with wide gaps between, give long runs of equal values
+        # in a row and first triples further in; sparse growing gaps give
+        # none at all.
+        starts = []
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            wide = rng.random(80) < 0.15
+            clustered = np.where(wide, rng.integers(20, 200, 80),
+                                 rng.integers(1, 4, 80))
+            growing = rng.integers(1, 4, 80) * np.arange(1, 81)
+            for gaps in (clustered, growing):
+                elements = np.concatenate([[1], 1 + np.cumsum(gaps)])
+                index = QIndex(int(elements[-1]), elements.astype(np.uint32))
+                answers = _slow_answers(index.elements)
+                for r, triple in enumerate(answers):
+                    assert search_equal_triple(index, r) == triple, (seed, r)
+                starts.append(int(np.searchsorted(elements, answers[-1][0]))
+                              if answers[-1] else None)
+        assert None in starts and max(s for s in starts if s is not None) >= 5
+
+    def test_makes_no_table(self, index_1e5):
+        # The 2001 x 2001 int64 table alone would take 32 MB.
+        search_equal_triple(index_1e5, 2000)  # warm the index's own arrays
+        tracemalloc.start()
+        try:
+            assert search_equal_triple(index_1e5, 2000) == (27, 28, 32)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak
+
+
+def _slow_answers(elements: np.ndarray) -> list[tuple[int, int, int] | None]:
+    """The table scan's answer at every rank of strictly increasing members.
+
+    Its answer is the least triple (by rank) within the prefix. If that is
+    t at rank R, with c at rank k, then t is also the answer at every rank
+    in [k, R]: it lies in those prefixes, and each has only triples of the
+    rank-R prefix. So one scan settles a whole range of ranks.
+    """
+    m, pair = pairwise_table_slow(elements, len(elements) - 1)
+    answers = [None] * len(m)
+    r = len(m) - 1
+    while r >= 0:
+        triple = search_equal_triple_slow(m[: r + 1], pair[: r + 1, : r + 1])
+        k = m.index(triple[2]) if triple else 0
+        answers[k : r + 1] = [triple] * (r + 1 - k)
+        r = k - 1
+    return answers
 
 
 class TestBertrand:
