@@ -82,7 +82,7 @@ class TestBuild:
         with pytest.raises(CapacityError):
             build_sieve(10**6, memory_budget=1000)
 
-    @pytest.mark.parametrize("limit", [10**6, 10**7])
+    @pytest.mark.parametrize("limit", [10**6, 10**7, 3 * 10**7])
     def test_memory_estimate_covers_traced_peak(self, limit):
         tracemalloc.start()
         try:
@@ -340,6 +340,30 @@ class TestQFirst:
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 9, 25, 49, 10**5, 10**5 + 1])
     def test_odd_only_prime_sieve_matches_the_plain_sieve(self, n):
         assert np.array_equal(_prime_sieve(n), primes_upto(n))
+
+    def test_wheel_prime_sieve_at_every_small_n(self):
+        # Every residue mod 6, and 25, 35, 49 and 77, where the two strides
+        # of 5 and of 7 start.
+        for n in range(601):
+            primes = _prime_sieve(n)
+            assert primes.dtype == np.int64
+            assert np.array_equal(primes, primes_upto(n)), n
+
+    @pytest.mark.parametrize("n", [3 * 2**20 - 8, 3 * 2**20 + 8, 6 * 2**20 + 3])
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint32])
+    def test_wheel_prime_sieve_at_block_edges(self, n, dtype):
+        # Flag j stands for 3j + 1 or 3j + 2, so the first block of 2**20
+        # flags ends at 3 * 2**20 and the second at 6 * 2**20.
+        assert sieve_module._BLOCK == 2**20
+        primes = _prime_sieve(n, dtype)
+        assert primes.dtype == dtype
+        assert np.array_equal(primes, primes_upto(n))
+
+    def test_build_over_several_sieve_blocks(self):
+        # The primes to 7.5e6 take three blocks of the wheel mask.
+        limit = 3 * 10**7
+        assert np.array_equal(build_sieve(limit).elements,
+                              q_by_construction(limit))
 
     def test_members_are_uint32_below_two_to_the_32(self, index_1e7):
         assert index_1e7.elements.dtype == np.uint32
