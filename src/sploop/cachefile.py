@@ -10,7 +10,9 @@ file, then builds), and ``build_payload`` builds it from byte slices.
 ``QBits``, the only reader of the bits, answers every cached CLI command
 from them without importing numpy: the point questions, the gap query
 behind fixed points and SP-free runs, the pairs at a gap, and the rank
-prefix of an operation table.
+prefix of an operation table. Their checks and errors are the ``front``
+module's, shared with ``QIndex``; ``QBits`` reads the primitives that
+module lists off the bits.
 """
 
 from __future__ import annotations
@@ -26,11 +28,8 @@ from .errors import (
     CacheMagicError,
     CacheTruncatedError,
     CacheVersionError,
-    CapacityError,
-    DomainError,
-    MembershipError,
 )
-from .spcore import _successor_beyond
+from .front import QFront
 
 MAGIC = b"SPLQ"
 VERSION = 1
@@ -117,18 +116,19 @@ def build_payload(limit: int) -> bytes:
     return bits.to_bytes(payload_size(limit), "little")
 
 
-class QBits:
+class QBits(QFront):
     """Q up to limit, read off a v1 payload's bits: the CLI's cached
-    questions without numpy. Each query gives the same answer, error type,
-    message and ``required`` as the same query on a ``QIndex`` of that
-    limit, ``gap_pairs`` and ``prefix`` among them.
+    questions without numpy. The queries and their checks are the
+    ``front`` module's, shared with ``QIndex``, so each gives the same
+    answer, error type, message and ``required`` as on a ``QIndex`` of
+    that limit; this class supplies the primitives, read off the bits.
 
     ``successor`` and ``predecessor`` step along the bits, which stays
     short: no gap in Q below 10**7 is wider than 207. A payload from a cache
     built at a larger limit is cut to this limit.
     """
 
-    __slots__ = ("limit", "_bits")
+    __slots__ = ("_bits",)
 
     def __init__(self, limit: int, payload):
         bits = bytearray(payload[: payload_size(limit)])
@@ -140,11 +140,13 @@ class QBits:
         """Write the v1 cache file of Q up to this limit."""
         write(path, self.limit, self._bits)
 
-    def _is_sp(self, n: int) -> int:
-        return self._bits[n >> 3] >> (n & 7) & 1
+    def _has(self, x: int) -> bool:
+        return x == 1 or bool(self._bits[x >> 3] >> (x & 7) & 1)
 
-    def _next_sp(self, n: int) -> int | None:
-        """The smallest SP >= n, or None when none is below the limit."""
+    def _next(self, n: int) -> int | None:
+        """The least member >= n, or None when none is below the limit."""
+        if n <= 1:
+            return 1  # bit 1 is never set: 1 is in Q but is not SP
         bits, i = self._bits, n >> 3
         if i >= len(bits):
             return None
@@ -156,6 +158,12 @@ class QBits:
             byte = bits[i]
         return 8 * i + (byte & -byte).bit_length() - 1
 
+    def _prev(self, x: int) -> int:
+        for n in range(x - 1, 1, -1):
+            if self._has(n):
+                return n
+        return 1
+
     def _sps(self):
         """Every SP up to the limit, ascending."""
         for i, byte in enumerate(self._bits):
@@ -163,92 +171,32 @@ class QBits:
                 yield 8 * i + (byte & -byte).bit_length() - 1
                 byte &= byte - 1  # clear the lowest set bit
 
-    def _check_range(self, n: int) -> None:
-        if n > self.limit:
-            raise CapacityError(
-                f"{n} exceeds the limit {self.limit}; rebuild with limit >= {n}",
-                required=n,
-            )
-
-    @property
-    def max_element(self) -> int:
-        n = self.limit
-        while n > 1 and not self._is_sp(n):
-            n -= 1
-        return n
-
-    def contains(self, x: int) -> bool:
-        """Membership in Q, restricted to the indexed range."""
-        if x < 1 or x > self.limit:
-            return False
-        return x == 1 or bool(self._is_sp(x))
-
-    def successor(self, x: int) -> int:
-        """N(x): the smallest element of Q strictly greater than x."""
-        if x < 0:
-            raise DomainError(f"need x >= 0, got {x}")
-        if x == 0:
-            return 1
-        n = self._next_sp(x + 1)
-        if n is None:
-            raise CapacityError(
-                f"successor({x}) is beyond the largest indexed element "
-                f"{self.max_element}; rebuild with a larger limit",
-                required=_successor_beyond(x),
-            )
-        return n
-
-    def predecessor(self, x: int) -> int:
-        """The largest element of Q strictly below x (x >= 2)."""
-        if x <= 1:
-            raise DomainError(f"no Q element below {x}")
-        if x > self.limit + 1:
-            raise CapacityError(
-                f"predecessor({x}) is not covered by limit {self.limit}",
-                required=x,
-            )
-        for n in range(x - 1, 1, -1):
-            if self._is_sp(n):
-                return n
-        return 1
-
-    def sp_count(self, n: int) -> int:
-        """Number of SP numbers <= n (inclusive)."""
-        if n < 0:
-            raise DomainError(f"need n >= 0, got {n}")
-        self._check_range(n)
+    def _count(self, n: int) -> int:
         head = int.from_bytes(self._bits[: n >> 3], "little").bit_count()
         tail = self._bits[n >> 3] & ((2 << (n & 7)) - 1)
         return head + tail.bit_count()
 
-    def _block_of(self, r: int) -> tuple[int | None, int]:
-        """The first byte of the block that holds the r-th SP number and the
-        count before that block, or None and the count of all of them when
-        there are fewer than r. Counting stops at that block."""
+    def _nth(self, r: int) -> int | None:
+        """Counts whole blocks of ``_BLOCK`` bytes up to the one that holds
+        the r-th SP number, then that block's bytes, then the byte's bits."""
         bits, seen = self._bits, 0
         for lo in range(0, len(bits), _BLOCK):
             inside = int.from_bytes(bits[lo : lo + _BLOCK], "little").bit_count()
             if seen + inside >= r:
-                return lo, seen
+                break
             seen += inside
-        return None, seen
-
-    def nth_sp(self, r: int) -> int:
-        """The r-th SP number, r >= 1 (the identity 1 is not counted)."""
-        if r < 1:
-            raise DomainError(f"need r >= 1, got {r}")
-        lo, seen = self._block_of(r)
-        if lo is None:
-            raise CapacityError(
-                f"index holds only {seen} SP numbers, asked for number {r}"
-            )
-        for i, byte in enumerate(self._bits[lo : lo + _BLOCK], start=lo):
+        else:
+            return None
+        for i, byte in enumerate(bits[lo : lo + _BLOCK], start=lo):
             if seen + byte.bit_count() >= r:
                 break
             seen += byte.bit_count()
         for _ in range(r - seen - 1):
             byte &= byte - 1  # clear the lowest set bit
         return 8 * i + (byte & -byte).bit_length() - 1
+
+    def _prefix(self, r: int) -> list[int]:
+        return [1, *islice(self._sps(), r)]
 
     def first_gap(self, w: int) -> tuple[int, int] | None:
         """The first consecutive members (lo, hi) of Q with hi - lo >= w,
@@ -263,14 +211,14 @@ class QBits:
         k = (w - 8) // 8
         if k < 1:
             lo = 1
-            while (hi := self._next_sp(lo + 1)) is not None:
+            while (hi := self._next(lo + 1)) is not None:
                 if hi - lo >= w:
                     return lo, hi
                 lo = hi
             return None
         bits, zeros, at = self._bits, bytes(k), 1
         while (j := bits.find(zeros, at)) >= 0:
-            hi = self._next_sp(8 * (j + k))
+            hi = self._next(8 * (j + k))
             if hi is None:
                 return None
             # Byte j - 1 is not zero, or find would have stopped there: it
@@ -282,20 +230,6 @@ class QBits:
             at = (hi >> 3) + 1  # the next run of zero bytes starts past hi
         return None
 
-    def gap_pairs(self, g: int, limit: int) -> list[tuple[int, int]]:
-        """All consecutive SP pairs (lo, hi) with hi - lo = g and hi <= limit,
-        ascending."""
-        if g < 1:
-            raise DomainError(f"need gap g >= 1, got {g}")
-        self._check_range(limit)
+    def _pairs(self, g: int, limit: int) -> list[tuple[int, int]]:
         sps = takewhile(limit.__ge__, self._sps())
         return [(lo, hi) for lo, hi in pairwise(sps) if hi - lo == g]
-
-    def prefix(self, r: int) -> list[int]:
-        """The rank-r prefix [1, sp_1, ..., sp_r] of Q."""
-        if r < 0:
-            raise MembershipError(f"need rank r >= 0, got {r}")
-        lo, count = self._block_of(r)
-        if lo is None:
-            raise CapacityError(f"rank {r} exceeds the {count} indexed SP numbers")
-        return [1, *islice(self._sps(), r)]

@@ -740,8 +740,7 @@ def _suite_theorem4(args, q):
     from . import theorems
 
     bound = args.max if args.max is not None else min(10**5, q.limit)
-    if bound > q.limit:
-        q._check_range(bound)
+    q._check_cover(bound)
     twin = int(np.argmax(q.gaps == 1))  # the first gap-1 pair, if any
     if q.gaps[twin] != 1:
         if args.max is not None:

@@ -16,7 +16,9 @@ Fixed points and SP-free runs are read off one gap query that every index
 answers: ``first_gap(w)``, the first consecutive members (lo, hi) of Q
 with hi - lo >= w, where 1 counts as a member. ``QIndex`` answers it from
 its record gaps and the numpy-free ``cachefile.QBits`` from a cache file's
-bits, so ``lop``, ``fixed_point`` and ``find_gap_run`` run on either.
+bits. Both take ``contains`` and ``successor``, with their checks and
+errors, from the one query front in ``front``, so ``lop``, ``fixed_point``
+and ``find_gap_run`` run on either and fail on either alike.
 Only ``cayley_table`` and ``find_nonassoc_witness`` import numpy, when
 called; ``cayley_rows`` is the table without it.
 """

@@ -2,6 +2,9 @@
 
 ``QIndex`` holds Q, 1 followed by every SP <= limit in ascending order,
 and answers counts, N(x) and the other order queries from that array.
+The queries, their checks and errors live in the ``front`` module, shared
+with the numpy-free ``cachefile.QBits``; ``QIndex`` supplies the
+primitives it lists, each a ``searchsorted`` or a slice of the members.
 ``SpSieve`` is a ``QIndex`` made by the sieve or read from the cache: it
 adds the flag per number, ``is_sp`` and the cache file. ``build_sieve``
 and ``load_cache`` return one; no second object is needed to query it.
@@ -38,7 +41,8 @@ import math
 import numpy as np
 
 from . import cachefile
-from .errors import CapacityError, DomainError, MembershipError
+from .errors import CapacityError, DomainError
+from .front import QFront
 from .spcore import _successor_beyond
 
 DEFAULT_MEMORY_BUDGET = 4 << 30
@@ -133,9 +137,10 @@ def _estimate_build_bytes(limit: int) -> int:
     return max(sieving, filling) + (1 << 20)
 
 
-class QIndex:
+class QIndex(QFront):
     """Sorted members of Q (1 followed by every SP <= limit) with counts and
-    order queries.
+    order queries: the primitives of the ``front`` module, each one
+    ``searchsorted`` or slice of the members.
 
     ``gaps`` and the record gaps behind ``first_gap`` are computed
     on first use and kept: a caller that never asks a gap question never
@@ -144,7 +149,7 @@ class QIndex:
     reads it once.
     """
 
-    __slots__ = ("limit", "_elements", "_gaps", "_records")
+    __slots__ = ("_elements", "_gaps", "_records")
 
     def __init__(self, limit: int, elements: np.ndarray | None):
         self.limit = limit
@@ -164,25 +169,29 @@ class QIndex:
         sieve.elements  # the first read lists them
         return sieve
 
-    def _check_range(self, n: int) -> None:
-        """Refuse n outside [0, limit]: DomainError below 0, CapacityError
-        with ``required=n`` above the limit."""
-        if n < 0:
-            raise DomainError(f"need n >= 0, got {n}")
-        if n > self.limit:
-            raise CapacityError(
-                f"{n} exceeds the limit {self.limit}; rebuild with limit >= {n}",
-                required=n,
-            )
-
-    def sp_count(self, n: int) -> int:
-        """Number of SP numbers <= n (inclusive), by binary search.
-
-        The inclusive convention is deliberate and documented: counts at a
-        checkpoint include the checkpoint itself when it is SP.
-        """
-        self._check_range(n)
+    def _count(self, n: int) -> int:
         return _rank(self.elements[1:], n, "right")
+
+    def _nth(self, r: int) -> int | None:
+        elements = self.elements
+        return int(elements[r]) if r < len(elements) else None
+
+    def _next(self, n: int) -> int | None:
+        elements = self.elements
+        i = _rank(elements, n)
+        return int(elements[i]) if i < len(elements) else None
+
+    def _prev(self, x: int) -> int:
+        elements = self.elements
+        return int(elements[_rank(elements, x) - 1])
+
+    def _has(self, x: int) -> bool:
+        elements = self.elements
+        i = _rank(elements, x)
+        return i < len(elements) and int(elements[i]) == x
+
+    def _prefix(self, r: int) -> list[int]:
+        return self.elements[: r + 1].tolist()
 
     @property
     def gaps(self) -> np.ndarray:
@@ -214,17 +223,12 @@ class QIndex:
         i, elements = int(where[k]), self.elements
         return int(elements[i]), int(elements[i + 1])
 
-    def gap_pairs(self, g: int, limit: int) -> list[tuple[int, int]]:
-        """All consecutive SP pairs (lo, hi) with hi - lo = g and hi <= limit,
-        ascending."""
-        return list(zip(*self._gap_pair_ends(g, limit)))
+    def _pairs(self, g: int, limit: int) -> list[tuple[int, int]]:
+        return list(zip(*self._pair_ends(g, limit)))
 
-    def _gap_pair_ends(self, g: int, limit: int) -> tuple[list[int], list[int]]:
-        """The lower and the upper members of the pairs ``gap_pairs`` lists."""
-        if g < 1:
-            raise DomainError(f"need gap g >= 1, got {g}")
-        if limit > self.limit:
-            self._check_range(limit)
+    def _pair_ends(self, g: int, limit: int) -> tuple[list[int], list[int]]:
+        """The lower and the upper members of the pairs ``gap_pairs`` lists,
+        for arguments that ``_check_gap`` passed."""
         elements = self.elements
         hits = 1 + np.flatnonzero(self._sp_gaps(limit) == g)
         return elements[hits].tolist(), elements[hits + 1].tolist()
@@ -236,43 +240,8 @@ class QIndex:
         m = _rank(self.elements, limit, "right")
         return self.gaps[1 : max(m - 1, 1)]
 
-    def prefix(self, r: int) -> list[int]:
-        """The rank-r prefix [1, sp_1, ..., sp_r] of Q."""
-        if r < 0:
-            raise MembershipError(f"need rank r >= 0, got {r}")
-        if r >= len(self.elements):
-            raise CapacityError(
-                f"rank {r} exceeds the {len(self.elements) - 1} indexed SP numbers"
-            )
-        return self.elements[: r + 1].tolist()
-
     def __len__(self) -> int:
         return len(self.elements)
-
-    @property
-    def max_element(self) -> int:
-        return int(self.elements[-1])
-
-    def contains(self, x: int) -> bool:
-        """Membership in Q, restricted to the indexed range."""
-        if x < 1 or x > self.limit:
-            return False
-        elements = self.elements
-        i = _rank(elements, x)
-        return i < len(elements) and int(elements[i]) == x
-
-    def successor(self, x: int) -> int:
-        """N(x): the smallest element of Q strictly greater than x."""
-        if x < 0:
-            raise DomainError(f"need x >= 0, got {x}")
-        elements = self.elements
-        if x >= int(elements[-1]):
-            raise CapacityError(
-                f"successor({x}) is beyond the largest indexed element "
-                f"{int(elements[-1])}; rebuild with a larger limit",
-                required=_successor_beyond(x),
-            )
-        return int(elements[_rank(elements, x, "right")])
 
     def successor_many(self, xs: np.ndarray) -> np.ndarray:
         """Vectorized successor over a non-negative int array."""
@@ -289,30 +258,6 @@ class QIndex:
         elements = self.elements
         return elements[elements.searchsorted(
             xs.astype(elements.dtype, copy=False), side="right")]
-
-    def predecessor(self, x: int) -> int:
-        """The largest element of Q strictly below x (x >= 2)."""
-        if x <= 1:
-            raise DomainError(f"no Q element below {x}")
-        if x > self.limit + 1:
-            raise CapacityError(
-                f"predecessor({x}) is not covered by limit {self.limit}",
-                required=x,
-            )
-        elements = self.elements
-        return int(elements[_rank(elements, x) - 1])
-
-    def nth_sp(self, r: int) -> int:
-        """The r-th SP number, r >= 1 (the identity 1 is not counted)."""
-        if r < 1:
-            raise DomainError(f"need r >= 1, got {r}")
-        elements = self.elements
-        if r >= len(elements):
-            raise CapacityError(
-                f"index holds only {len(elements) - 1} SP numbers, "
-                f"asked for number {r}"
-            )
-        return int(elements[r])
 
 
 class SpSieve(QIndex):

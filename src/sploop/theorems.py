@@ -67,7 +67,8 @@ def gap_pairs(index: QIndex, g: int, limit: int) -> list[SpPair]:
     1e8, with 214,712 gap-1 pairs, those passes took most of the time.
     The collector is turned back on only if it was on.
     """
-    lo, hi = index._gap_pair_ends(g, limit)
+    index._check_gap(g, limit)
+    lo, hi = index._pair_ends(g, limit)
     was = gc.isenabled()
     gc.disable()
     try:
@@ -168,8 +169,7 @@ def verify_bullet_chain(index: QIndex, ap: SpAp) -> int:
     terms = ap.terms
     if len(terms) < 2:
         raise DomainError("need at least two terms to evaluate the chain")
-    if max(terms) > index.limit:
-        index._check_range(max(terms))
+    index._check_cover(max(terms))
     values = [lop(index, a, b) for a, b in zip(terms, terms[1:])]
     for i, v in enumerate(values[1:], start=1):
         if v != values[0]:
@@ -202,10 +202,6 @@ def search_equal_triple(index: QIndex, r: int) -> tuple[int, int, int] | None:
     if r > TRIPLE_RANK_BUDGET:
         raise SearchBudgetError(
             f"rank {r} exceeds the enumeration budget {TRIPLE_RANK_BUDGET}"
-        )
-    if r >= len(index.elements):
-        raise CapacityError(
-            f"rank {r} exceeds the {len(index.elements) - 1} indexed SP numbers"
         )
     members = index.prefix(r)
     m = np.asarray(members, dtype=np.int64)  # m[k] - m[j] wraps if unsigned
@@ -298,8 +294,7 @@ def check_twin_shift(
     a • x = N(v - 1) = v. For each twin the least such x in Q comes from the
     largest repeated value.
     """
-    if limit > index.limit:
-        index._check_range(limit)
+    index._check_cover(limit)
     repeated = _repeated_values(index)
     if repeated.size == 0:
         return None

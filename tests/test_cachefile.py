@@ -13,7 +13,8 @@ import zlib
 import numpy as np
 import pytest
 
-from sploop import (QIndex, SploopError, build_sieve, cayley_table, find_gap_run,
+from sploop import (CapacityError, DomainError, MembershipError, QIndex,
+                    SploopError, build_sieve, cayley_table, find_gap_run,
                     fixed_point, gap_pairs, lop)
 from sploop import cachefile
 from sploop.loop_algebra import cayley_rows
@@ -60,6 +61,37 @@ def test_bit_view_answers_as_the_index(tmp_path, built_at, limit):
             assert outcome(lop, bits, a, b) == outcome(lop, index, a, b), (a, b)
 
 
+# Each query's refusals at limit 117, whose largest SP is 117 = 13 * 3**2
+# and which holds 25 SP numbers. The two indexes share one copy of these
+# checks, so agreement between them no longer pins the text.
+FRONT_ERRORS = [
+    ("sp_count", (-1,), DomainError, "need n >= 0, got -1", None),
+    ("sp_count", (118,), CapacityError,
+     "118 exceeds the limit 117; rebuild with limit >= 118", 118),
+    ("successor", (-1,), DomainError, "need x >= 0, got -1", None),
+    ("successor", (117,), CapacityError,
+     "successor(117) is beyond the largest indexed element 117; rebuild "
+     "with a larger limit", 124),  # N(117) = 31 * 2**2
+    ("predecessor", (1,), DomainError, "no Q element below 1", None),
+    ("predecessor", (119,), CapacityError,
+     "predecessor(119) is not covered by limit 117", 119),
+    ("nth_sp", (0,), DomainError, "need r >= 1, got 0", None),
+    ("nth_sp", (26,), CapacityError,
+     "index holds only 25 SP numbers, asked for number 26", None),
+    ("prefix", (-1,), MembershipError, "need rank r >= 0, got -1", None),
+    ("prefix", (26,), CapacityError, "rank 26 exceeds the 25 indexed SP numbers", None),
+    ("gap_pairs", (0, 117), DomainError, "need gap g >= 1, got 0", None),
+    ("gap_pairs", (1, 118), CapacityError,
+     "118 exceeds the limit 117; rebuild with limit >= 118", 118),
+]
+
+
+@pytest.mark.parametrize("query, args, kind, message, required", FRONT_ERRORS)
+def test_refusals_read_as_documented(tmp_path, query, args, kind, message, required):
+    for q in (bits_of(tmp_path, 117, 117), build_sieve(117)):
+        assert outcome(getattr(q, query), *args) == (kind, message, required)
+
+
 def test_padding_bits_are_not_members(tmp_path):
     path = tmp_path / "q.spq"
     build_sieve(117).save(path)
@@ -103,13 +135,21 @@ def assert_gap_queries_match(bits, index):
 
 
 def assert_drawn_gaps_match(limit, members):
-    """The gap query and the pairs on bits set at members, against an index
-    of 1 and the same members."""
+    """The point queries, the gap query and the pairs on bits set at
+    members, against an index of 1 and the same members."""
     payload = bytearray(cachefile.payload_size(limit))
     for n in members:
         payload[n >> 3] |= 1 << (n & 7)
     bits = cachefile.QBits(limit, payload)
     index = QIndex(limit, np.array([1] + members, dtype=np.int64))
+    assert outcome(lambda: bits.max_element) == outcome(lambda: index.max_element)
+    for x in range(-1, limit + 3):
+        for query in ("contains", "successor", "predecessor", "sp_count"):
+            assert outcome(getattr(bits, query), x) == \
+                outcome(getattr(index, query), x), (query, x)
+    for r in range(0, len(members) + 2):
+        assert outcome(bits.nth_sp, r) == outcome(index.nth_sp, r), r
+        assert outcome(bits.prefix, r) == outcome(index.prefix, r), r
     widest = int(index.gaps.max()) if members else 0
     for w in range(0, widest + 3):
         assert bits.first_gap(w) == index.first_gap(w), w
@@ -135,6 +175,15 @@ def test_gap_queries_at_byte_edges(members):
     # spans 23, and its 22 cover one: the fewest whole zero bytes each width
     # can hold.
     assert_drawn_gaps_match(50, members)
+
+
+@pytest.mark.parametrize("limit, members", [
+    (8, []), (64, []), (300, []), (300, [2]), (300, [17, 40]), (1000, [9, 990]),
+])
+def test_queries_on_sets_a_build_never_makes(limit, members):
+    # No SP number at all, or the last far below the limit: a built Q always
+    # holds 8, and members near its limit.
+    assert_drawn_gaps_match(limit, members)
 
 
 @pytest.mark.parametrize("built_at, limit", [

@@ -706,6 +706,12 @@ class TestVerifySuites:
         assert (code, out) == (3, "")
         assert "no twin pair below limit 20" in err
 
+    def test_theorem4_max_past_a_limit_without_a_twin(self):
+        # The bound is refused before the missing twin, with its required.
+        assert run("verify", "--suite", "theorem4", "--limit", "20",
+                   "--max", "30") == (3, "", "capacity: 30 exceeds the limit "
+                                      "20; rebuild with limit >= 30 (try --limit 30)\n")
+
     @pytest.mark.parametrize("limit", [8, 27])
     def test_theorem4_default_without_a_twin_below_the_limit(self, limit):
         code, payload = run_json("verify", "--suite", "theorem4",

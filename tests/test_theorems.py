@@ -217,8 +217,12 @@ class TestEqualTriples:
             search_equal_triple(index_1e4, 2001)
 
     def test_rank_capacity(self, index_117):
-        with pytest.raises(CapacityError):
+        with pytest.raises(CapacityError) as raised:
             search_equal_triple(index_117, 100)
+        with pytest.raises(CapacityError) as expected:
+            index_117.prefix(100)
+        assert str(raised.value) == str(expected.value)
+        assert raised.value.required is expected.value.required is None
 
     def test_agrees_with_the_table_scan_at_every_rank(self, index_1e4):
         assert len(index_1e4.elements) - 1 == index_1e4.sp_count(10**4) == 1230
