@@ -305,22 +305,19 @@ def _cmd_build(args) -> int:
 
 def _cmd_list(args) -> int:
     q = _load_or_build(args)
-    sps = q.elements[1:]
     if args.count is not None:
         if args.count < 0:
             raise DomainError(f"need --count >= 0, got {args.count}")
-        if args.count > sps.size:
+        count = q.sp_count(q.limit)
+        if args.count > count:
             raise CapacityError(
-                f"only {sps.size} SP numbers below limit {q.limit}, "
+                f"only {count} SP numbers below limit {q.limit}, "
                 f"asked for {args.count}")
-        chosen = sps[: args.count]
+        rank = args.count
     else:
         bound = args.max if args.max is not None else q.limit
-        if bound > q.limit:
-            raise CapacityError(
-                f"--max {bound} exceeds limit {q.limit}", required=bound)
-        chosen = sps[sps <= bound]
-    values = [int(v) for v in chosen]
+        rank = q.sp_count(max(bound, 0))  # refuses a bound past the limit
+    values = q.prefix(rank)[1:]
     payload = {"limit": q.limit, "sp": values}
     _emit(args, payload, map(str, values),
           chain([["sp"]], ([v] for v in values)))
@@ -700,18 +697,18 @@ def _suite_theorem1(args, q):
         # the widest gap; an explicit --q-max past it is a capacity error.
         lo, hi = widest_gap(q)
         q_max = min(100, hi - lo)
-        e = q.elements
-        left_out = e[(e > q_max) & (e <= 100)]
-        if left_out.size:
+        left_out = [v for v in q.prefix(q.sp_count(min(100, q.limit)))
+                    if v > q_max]
+        if left_out:
             checks.append(_check(
                 "default_q_max", True,
                 f"--q-max capped at the widest gap {hi - lo} "
                 f"({lo} -> {hi}): members "
-                f"{', '.join(str(v) for v in left_out.tolist())} have no fixed "
+                f"{', '.join(map(str, left_out))} have no fixed "
                 f"point above them below limit {q.limit}"))
     elif q_max < 1:
         raise DomainError(f"need --q-max >= 1, got {q_max}")
-    for b in q.elements[q.elements <= q_max].tolist():
+    for b in q.prefix(q.sp_count(min(q_max, q.limit))):
         a = fixed_point(q, b)
         checks.append(_check(
             f"fixed_point_{b}", lop(q, a, b) == a,

@@ -87,7 +87,7 @@ class QFront:
         if x > self.limit + 1:
             raise CapacityError(
                 f"predecessor({x}) is not covered by limit {self.limit}",
-                required=x,
+                required=x - 1,
             )
         return self._prev(x)
 

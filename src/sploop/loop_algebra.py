@@ -19,8 +19,13 @@ its record gaps and the numpy-free ``cachefile.QBits`` from a cache file's
 bits. Both take ``contains`` and ``successor``, with their checks and
 errors, from the one query front in ``front``, so ``lop``, ``fixed_point``
 and ``find_gap_run`` run on either and fail on either alike.
-Only ``cayley_table`` and ``find_nonassoc_witness`` import numpy, when
-called; ``cayley_rows`` is the table without it.
+The table, the non-associativity search and
+``theorems.search_equal_triple`` need N only below a rank prefix's top
+member, and the prefix's own gaps give it: N(x) is the upper member of the
+gap that holds x. ``_successors`` lists it in one merge pass over
+consecutive members, without numpy and without the index. Only
+``cayley_table`` and ``find_nonassoc_witness`` import numpy, when called;
+``cayley_rows`` is the table without it.
 """
 
 from __future__ import annotations
@@ -36,10 +41,7 @@ if TYPE_CHECKING:
 
 
 def _check_member(index: QIndex, x: int, name: str) -> None:
-    if x > index.limit:
-        raise CapacityError(
-            f"{name}={x} exceeds the index limit {index.limit}", required=x
-        )
+    index._check_cover(x)
     if not index.contains(x):
         raise MembershipError(f"{name}={x} is not 1 and not an SP number")
 
@@ -90,10 +92,9 @@ def cayley_table(index: QIndex, r: int) -> CayleyTable:
     import numpy as np
 
     loop = sub_loop(index, r)
-    m = np.asarray(loop.members, dtype=np.int64)  # m[i] - m[j] wraps if unsigned
-    # Every |m[i] - m[j]| lies in [0, m[-1]), so one search per value there
-    # and a gather replace one search per entry of the (r+1)**2 matrix.
-    successors = index.successor_many(np.arange(m[-1]))
+    m = np.asarray(loop.members, dtype=np.int64)
+    # Every |m[i] - m[j]| lies in [0, m[-1]), where N is gathered.
+    successors = np.asarray(_successors(loop.members), dtype=np.int64)
     entries = successors[np.abs(m[:, None] - m[None, :])]
     return CayleyTable(order=r + 1, members=loop.members, entries=entries)
 
@@ -108,13 +109,14 @@ def find_nonassoc_witness(index: QIndex, r: int) -> tuple[int, int, int] | None:
     import numpy as np
 
     table = cayley_table(index, r)
-    m = np.asarray(table.members, dtype=np.int64)
-    # The entries come in the members' dtype; unsigned, m[i] - t would wrap.
-    t = table.entries.astype(np.int64)
+    m, t = np.asarray(table.members, dtype=np.int64), table.entries
+    # Every entry is a member of the prefix, so each difference below lies
+    # in [0, m[-1]), where N is gathered.
+    successors = np.asarray(_successors(table.members), dtype=np.int64)
     for i in range(len(m)):
         # left[b, c] = (m[i] • m[b]) • m[c];  right[b, c] = m[i] • (m[b] • m[c])
-        left = index.successor_many(np.abs(t[i, :][:, None] - m[None, :]))
-        right = index.successor_many(np.abs(int(m[i]) - t))
+        left = successors[np.abs(t[i, :][:, None] - m[None, :])]
+        right = successors[np.abs(m[i] - t)]
         diff = left != right
         if diff.any():
             b, c = np.unravel_index(int(np.argmax(diff)), diff.shape)
@@ -122,13 +124,19 @@ def find_nonassoc_witness(index: QIndex, r: int) -> tuple[int, int, int] | None:
     return None
 
 
-def cayley_rows(members: list[int]) -> list[list[int]]:
-    """The entries of ``cayley_table`` over a rank prefix's members, as
-    lists and without numpy. Every |a - b| lies in [0, members[-1]), where
-    N is read off one list made by a merge pass over consecutive members."""
+def _successors(members: list[int] | tuple[int, ...]) -> list[int]:
+    """N(x) for 0 <= x < members[-1], where members is a rank prefix
+    [1, sp_1, ..., sp_r]: one merge pass over consecutive members."""
     successors = [1]  # N(0)
     for lo, hi in pairwise(members):
         successors += [hi] * (hi - lo)  # N(x) = hi for x in [lo, hi)
+    return successors
+
+
+def cayley_rows(members: list[int]) -> list[list[int]]:
+    """The entries of ``cayley_table`` over a rank prefix's members, as
+    lists and without numpy. Every |a - b| lies in [0, members[-1])."""
+    successors = _successors(members)
     return [[successors[abs(a - b)] for b in members] for a in members]
 
 

@@ -1,7 +1,8 @@
 """Bulk SP generation and the one object that answers every question on Q.
 
 ``QIndex`` holds Q, 1 followed by every SP <= limit in ascending order,
-and answers counts, N(x) and the other order queries from that array.
+from construction, and answers counts, N(x) and the other order queries
+from that array.
 The queries, their checks and errors live in the ``front`` module, shared
 with the numpy-free ``cachefile.QBits``; ``QIndex`` supplies the
 primitives it lists, each a ``searchsorted`` or a slice of the members.
@@ -43,7 +44,6 @@ import numpy as np
 from . import cachefile
 from .errors import CapacityError, DomainError
 from .front import QFront
-from .spcore import _successor_beyond
 
 DEFAULT_MEMORY_BUDGET = 4 << 30
 
@@ -142,31 +142,23 @@ class QIndex(QFront):
     order queries: the primitives of the ``front`` module, each one
     ``searchsorted`` or slice of the members.
 
-    ``gaps`` and the record gaps behind ``first_gap`` are computed
-    on first use and kept: a caller that never asks a gap question never
-    pays their memory (as many bytes per element as the members). ``elements``
-    is a property, which ``SpSieve`` may fill on first use, so each query
-    reads it once.
+    ``elements`` holds the members from construction. ``gaps`` and the
+    record gaps behind ``first_gap`` are computed on first use and kept: a
+    caller that never asks a gap question never pays their memory (as many
+    bytes per element as the members).
     """
 
-    __slots__ = ("_elements", "_gaps", "_records")
+    __slots__ = ("elements", "_gaps", "_records")
 
-    def __init__(self, limit: int, elements: np.ndarray | None):
+    def __init__(self, limit: int, elements: np.ndarray):
         self.limit = limit
-        self._elements = elements
+        self.elements = elements
         self._gaps = None
         self._records = None
 
-    @property
-    def elements(self) -> np.ndarray:
-        """1 followed by every SP <= limit, ascending."""
-        return self._elements
-
     @staticmethod
     def from_sieve(sieve: SpSieve) -> QIndex:
-        """The sieve itself, which is already an index, with its members
-        listed now instead of at its first query."""
-        sieve.elements  # the first read lists them
+        """The sieve itself, which is already an index."""
         return sieve
 
     def _count(self, n: int) -> int:
@@ -243,37 +235,29 @@ class QIndex(QFront):
     def __len__(self) -> int:
         return len(self.elements)
 
-    def successor_many(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized successor over a non-negative int array."""
-        if xs.size and int(xs.min()) < 0:
-            raise DomainError("successor_many needs non-negative inputs")
-        if xs.size and int(xs.max()) >= self.max_element:
-            raise CapacityError(
-                f"successor of {int(xs.max())} is beyond the largest indexed "
-                f"element {self.max_element}",
-                required=_successor_beyond(int(xs.max())),
-            )
-        # Every x is now below the largest member, so it fits the members'
-        # dtype, and the cast touches the needles instead of the members.
-        elements = self.elements
-        return elements[elements.searchsorted(
-            xs.astype(elements.dtype, copy=False), side="right")]
-
 
 class SpSieve(QIndex):
     """A ``QIndex`` made by the sieve, which also answers ``is_sp`` and
     writes the cache file.
 
-    It holds one of two forms and derives the other on first use: the
-    members (how ``build_sieve``, and so ``load``, make it), or flags over
-    [0, limit] with flag i set iff i is SP (how ``SpSieve(limit, flags)``
-    makes it).
+    It holds its members from construction. ``build_sieve``, and so
+    ``load``, make them directly; ``SpSieve(limit, flags)``, from flags over
+    [0, limit] with flag i set iff i is SP, lists them from the flags a
+    slice at a time, so listing needs little more memory than the members
+    themselves. The flags are kept, or made from the members on first use.
     """
 
     __slots__ = ("_flags",)
 
     def __init__(self, limit: int, flags: np.ndarray):
-        super().__init__(limit, None)
+        elements = np.empty(1 + np.count_nonzero(flags), dtype=_member_dtype(limit))
+        elements[0] = 1
+        at = 1
+        for lo in range(0, flags.size, _SLICE):
+            hits = np.flatnonzero(flags[lo : lo + _SLICE])
+            np.add(hits, lo, out=elements[at : at + hits.size], casting="unsafe")
+            at += hits.size
+        super().__init__(limit, elements)
         self._flags = flags
 
     @classmethod
@@ -283,25 +267,6 @@ class SpSieve(QIndex):
         QIndex.__init__(sieve, limit, elements)
         sieve._flags = None
         return sieve
-
-    @property
-    def elements(self) -> np.ndarray:
-        """1 followed by every SP <= limit, ascending. A sieve made from
-        flags lists them on first use, a slice of flags at a time, so
-        listing needs little more memory than the array itself."""
-        if self._elements is None:
-            flags = self._flags
-            elements = np.empty(1 + np.count_nonzero(flags),
-                                dtype=_member_dtype(self.limit))
-            elements[0] = 1
-            at = 1
-            for lo in range(0, flags.size, _SLICE):
-                hits = np.flatnonzero(flags[lo : lo + _SLICE])
-                np.add(hits, lo, out=elements[at : at + hits.size],
-                       casting="unsafe")
-                at += hits.size
-            self._elements = elements
-        return self._elements
 
     @property
     def flags(self) -> np.ndarray:

@@ -34,7 +34,7 @@ from .errors import (
     SearchBudgetError,
     ValidationError,
 )
-from .loop_algebra import lop
+from .loop_algebra import _successors, lop
 from .record import Record
 from .sieve import QIndex, _rank
 from .spcore import _successor_beyond
@@ -204,9 +204,9 @@ def search_equal_triple(index: QIndex, r: int) -> tuple[int, int, int] | None:
             f"rank {r} exceeds the enumeration budget {TRIPLE_RANK_BUDGET}"
         )
     members = index.prefix(r)
-    m = np.asarray(members, dtype=np.int64)  # m[k] - m[j] wraps if unsigned
+    m = np.asarray(members, dtype=np.int64)
     # Every difference of two members lies in [0, m[-1]); N is gathered there.
-    succ = index.successor_many(np.arange(m[-1]))
+    succ = np.asarray(_successors(members), dtype=np.int64)
     for i in range(len(m) - 2):
         tail = m[i + 1 :]
         row = succ[tail - m[i]]  # row[x] = m_i • tail[x]

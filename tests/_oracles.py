@@ -179,6 +179,21 @@ def pairwise_table_slow(elements: np.ndarray, r: int) -> tuple[list[int], np.nda
     return m.tolist(), elements[np.searchsorted(elements, diffs, side="right")]
 
 
+def nonassoc_witness_slow(m: list[int], pair: np.ndarray) -> tuple[int, int, int] | None:
+    """First (a, b, c) of the members m, in row-major order over the cube,
+    with (a • b) • c != a • (b • c), given their table pair; or None."""
+    at = {v: i for i, v in enumerate(m)}
+    s = len(m)
+    for i in range(s):
+        for j in range(s):
+            for k in range(s):
+                left = pair[at[int(pair[i, j])], k]
+                right = pair[i, at[int(pair[j, k])]]
+                if left != right:
+                    return m[i], m[j], m[k]
+    return None
+
+
 def search_equal_triple_slow(
     m: list[int], pair: np.ndarray
 ) -> tuple[int, int, int] | None:

@@ -74,7 +74,7 @@ FRONT_ERRORS = [
      "with a larger limit", 124),  # N(117) = 31 * 2**2
     ("predecessor", (1,), DomainError, "no Q element below 1", None),
     ("predecessor", (119,), CapacityError,
-     "predecessor(119) is not covered by limit 117", 119),
+     "predecessor(119) is not covered by limit 117", 118),
     ("nth_sp", (0,), DomainError, "need r >= 1, got 0", None),
     ("nth_sp", (26,), CapacityError,
      "index holds only 25 SP numbers, asked for number 26", None),

@@ -44,6 +44,13 @@ class TestQueries:
         assert code == 0
         assert payload["sp"] == [8, 12, 18, 20]
 
+    def test_list_max_at_the_edges(self):
+        assert run_json("list", "--max", "-5", "--limit", "100") == (
+            0, {"limit": 100, "sp": []})
+        code, _, err = run("list", "--max", "101", "--limit", "100")
+        assert code == 3
+        assert err.endswith("(try --limit 101)\n")
+
     def test_list_too_many(self):
         code, _, err = run("list", "--count", "100", "--limit", "117")
         assert code == 3
@@ -489,7 +496,7 @@ class TestCachedPointRoute:
 
     @pytest.mark.parametrize("argv, code, tail", [
         (["op", "1004", "8"], 3, "(try --limit 1004)\n"),  # required = x
-        (["pred", "1002"], 3, "(try --limit 1002)\n"),
+        (["pred", "1002"], 3, "(try --limit 1001)\n"),  # required = x - 1
         (["succ", "981"], 3, "(try --limit 1004)\n"),  # N(981) = 251 * 2**2
         (["op", "7", "8"], 2, "a=7 is not 1 and not an SP number\n"),
     ])
@@ -678,6 +685,14 @@ class TestVerifySuites:
                            "10000", "--q-max", "52")
         assert code == 3
         assert "width 52" in err
+
+    def test_theorem1_q_max_past_the_limit_takes_every_member(self):
+        # every member up to 1000 is checked, and the first without a gap
+        # that wide is 28
+        code, _, err = run("verify", "--suite", "theorem1", "--limit",
+                           "1000", "--q-max", "2000")
+        assert code == 3
+        assert "no SP-free gap of width 28 below limit 1000" in err
 
     def test_theorem3_reports_the_counterexample(self):
         code, payload = run_json("verify", "--suite", "theorem3",

@@ -8,14 +8,26 @@ from hypothesis import strategies as st
 from sploop import (
     CapacityError,
     MembershipError,
+    QIndex,
     cayley_table,
     find_nonassoc_witness,
     fixed_point,
     lop,
     sub_loop,
 )
+from sploop.loop_algebra import _successors
 
-from _oracles import lop_slow, sp_list_slow
+from _oracles import (lop_slow, nonassoc_witness_slow, pairwise_table_slow,
+                      sp_list_slow)
+
+
+@st.composite
+def drawn_prefixes(draw):
+    """An index over a drawn strictly increasing array from 1, in either
+    member dtype, and a rank into it."""
+    gaps = draw(st.lists(st.integers(1, 12), max_size=30))
+    members = np.cumsum([1, *gaps]).astype(draw(st.sampled_from([np.int64, np.uint32])))
+    return QIndex(int(members[-1]), members), draw(st.integers(0, len(gaps)))
 
 
 class TestLop:
@@ -112,6 +124,15 @@ class TestNonAssociativity:
         left = lop(index_1e4, lop(index_1e4, a, b), c)
         right = lop(index_1e4, a, lop(index_1e4, b, c))
         assert left != right
+
+    @given(drawn_prefixes())
+    @settings(max_examples=300, deadline=None)
+    def test_prefix_route_matches_the_oracles(self, drawn):
+        index, r = drawn
+        m, pair = pairwise_table_slow(index.elements, r)
+        assert _successors(m) == [index.successor(x) for x in range(m[-1])]
+        assert cayley_table(index, r).to_lists() == pair.tolist()
+        assert find_nonassoc_witness(index, r) == nonassoc_witness_slow(m, pair)
 
     def test_distinct_triple_witness(self, index_1e4):
         # the smallest witness with three distinct elements

@@ -37,6 +37,7 @@ from sploop import (
     gap_pairs,
     is_sp,
     load_cache,
+    lop,
     save_cache,
     scan_bertrand,
     search_equal_triple,
@@ -190,9 +191,6 @@ class TestQIndex:
             with pytest.raises(CapacityError) as exc:
                 index_117.successor(x)
             assert exc.value.required == required
-        with pytest.raises(CapacityError) as exc:
-            index_117.successor_many(np.array([5, 1000], dtype=np.int64))
-        assert exc.value.required == 1004
 
     def test_predecessor_known(self, index_1e4):
         assert index_1e4.predecessor(8) == 1
@@ -228,16 +226,8 @@ class TestQIndex:
             assert index_1e5.successor(index_1e5.predecessor(q)) == q
 
     def test_successor_monotone(self, index_1e4):
-        succs = index_1e4.successor_many(np.arange(0, 5000, dtype=np.int64))
+        succs = [index_1e4.successor(x) for x in range(5000)]
         assert (np.diff(succs) >= 0).all()
-
-    def test_successor_many_matches_scalar(self, index_1e4):
-        xs = np.array([0, 1, 7, 8, 24, 116, 117, 4000], dtype=np.int64)
-        assert index_1e4.successor_many(xs).tolist() == [
-            index_1e4.successor(int(x)) for x in xs
-        ]
-        with pytest.raises(CapacityError):
-            index_1e4.successor_many(np.array([10**4], dtype=np.int64))
 
     def test_rank_select_duality(self, sieve_1e4, index_1e4):
         for r in range(1, len(index_1e4.elements)):
@@ -256,15 +246,16 @@ class TestOneObject:
     def test_from_sieve_returns_the_sieve_with_its_members_listed(self):
         built = build_sieve(10**5)  # holds its members from the start
         assert QIndex.from_sieve(built) is built
-        sieve = SpSieve(built.limit, built.flags)  # lists them on first use
+        flags = built.flags
         tracemalloc.start()
         try:
-            index = QIndex.from_sieve(sieve)
+            sieve = SpSieve(built.limit, flags)  # lists them as it is made
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert index is sieve
+        assert QIndex.from_sieve(sieve) is sieve
         assert held >= sieve.elements.nbytes
+        assert np.array_equal(sieve.elements, built.elements)
 
     def test_queries_before_from_sieve_agree_with_it(self, tmp_path):
         path = tmp_path / "q.spq"
@@ -324,6 +315,35 @@ class TestOneObject:
         assert check_twin_shift(index_117, -1) is None
         with pytest.raises(MembershipError):
             verify_bullet_chain(index_117, SpAp(terms=(-8, -4), common_difference=4))
+
+
+# Calls that limit 117 refuses with a computed ``required``: every SP number
+# from 118 to 124 is 124 = 31 * 2**2, so N(117) = 124 and N(118) = 124.
+REQUIRED_CALLS = {
+    "sp_count": lambda q: q.sp_count(118),
+    "successor": lambda q: q.successor(117),
+    "predecessor": lambda q: q.predecessor(120),
+    "gap_pairs": lambda q: q.gap_pairs(1, 130),
+    "lop": lambda q: lop(q, 124, 8),
+    "scan_bertrand": lambda q: scan_bertrand(q, 1, 61),
+    "check_adjacency": lambda q: check_adjacency(q, 117),
+    "check_twin_shift": lambda q: check_twin_shift(q, 130),
+    "verify_bullet_chain": lambda q: verify_bullet_chain(
+        q, construct_sp_ap((5, 11, 17, 23), 3)),  # (45, 99, 153, 207)
+}
+
+
+@pytest.mark.parametrize("name", REQUIRED_CALLS)
+def test_every_required_is_tight(name):
+    call = REQUIRED_CALLS[name]
+    with pytest.raises(CapacityError) as exc:
+        call(build_sieve(117))
+    required = exc.value.required
+    assert required is not None and required > 117
+    call(build_sieve(required))  # answers
+    with pytest.raises(CapacityError) as exc:
+        call(build_sieve(required - 1))
+    assert exc.value.required == required
 
 
 def outcome(call):
