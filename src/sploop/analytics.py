@@ -96,11 +96,12 @@ def digit_census(index: QIndex, limit: int) -> DigitCensus:
     reported for side-by-side comparison; it is not a tolerance assertion.
     """
     sps = index.elements[1 : index.sp_count(limit) + 1]
-    tally = np.bincount(sps % 10, minlength=10)
+    # One byte per digit: np.bincount would cast the residues to intp.
+    digits = (sps % 10).astype(np.uint8)
     target = digit1_constant() * limit / math.log(limit) if limit >= 2 else 0.0
     return DigitCensus(
         limit=limit,
-        counts={d: int(tally[d]) for d in range(10)},
+        counts={d: int(np.count_nonzero(digits == d)) for d in range(10)},
         digit1_target=target,
     )
 

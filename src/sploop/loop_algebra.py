@@ -78,6 +78,7 @@ class CayleyTable(Record):
 
     __slots__ = ("order", "members", "entries")
     __eq__ = object.__eq__
+    __ne__ = object.__ne__
     __hash__ = object.__hash__
 
     def __repr__(self) -> str:

@@ -4,14 +4,18 @@
 numpy-free start, so every record of the package derives from ``Record``
 instead, and new records should too. A record's fields are its class's
 ``__slots__``, named there once; like a frozen dataclass it compares equal
-to a record of the same class with equal fields, hashes and prints by its
-fields, and refuses assignment with an ``AttributeError``.
+only to a record of the same class with equal fields (never to a plain
+tuple), hashes and prints by its fields, and refuses assignment with an
+``AttributeError``.
 
-Each subclass gets its ``__init__`` when it is defined, compiled from its
-``__slots__`` as ``dataclasses`` compiles one: it takes the fields in slot
-order, by position or by name, and sets each through its slot's member
-descriptor, which skips the refusing ``__setattr__``. A class keyword
-gives trailing fields their defaults::
+A record is a tuple of its fields, as a ``collections.namedtuple`` is: the
+metaclass takes each class's ``__slots__`` as its field names, sets
+``__slots__ = ()`` (a tuple subtype holds no slots of its own), reads each
+field through the accessor ``namedtuple`` uses, and compiles the class's
+``__new__``, which takes the fields in order, by position or by name. So
+a record also has ``len``, indexing, unpacking and tuple ordering, and
+``json.dumps`` writes it as a list. A class keyword gives trailing fields
+their defaults::
 
     class SpAp(Record, defaults={"chain_value": None}): ...
 
@@ -20,48 +24,44 @@ A record may subclass another: its fields are the base's, then its own
 a field without a default may not follow one with a default.
 """
 
+from _collections import _tuplegetter
 
-class Record:
+
+class _RecordType(type):
+    def __new__(mcls, name, bases, ns, defaults=None):
+        own = tuple(ns.get("__slots__", ()))
+        fields = getattr(bases[0], "_field_names", ()) + own  # the base's first
+        defaults = {**getattr(bases[0], "_defaults", {}), **(defaults or {})}
+        for field, later in zip(fields, fields[1:]):
+            if field in defaults and later not in defaults:
+                raise TypeError(f"{ns['__qualname__']}: field {later!r} without "
+                                f"a default follows {field!r}, which has one")
+        params = "".join(f", {f}=_defaults[{f!r}]" if f in defaults else f", {f}"
+                         for f in fields)
+        scope = {"_new": tuple.__new__, "_defaults": defaults}
+        exec(f"def __new__(_cls{params}):\n"
+             f"    return _new(_cls, ({''.join(f'{f}, ' for f in fields)}))", scope)
+        scope["__new__"].__qualname__ = f"{ns['__qualname__']}.__new__"
+        ns.update({f: _tuplegetter(i, None) for i, f in enumerate(fields) if f in own},
+                  __slots__=(), __new__=scope["__new__"], _field_names=fields,
+                  _defaults=defaults)
+        return super().__new__(mcls, name, bases, ns)
+
+
+class Record(tuple, metaclass=_RecordType):
     __slots__ = ()
 
-    _field_names = ()
-    _defaults = {}
-
-    def __init_subclass__(cls, defaults=None):
-        own = tuple(cls.__dict__.get("__slots__", ()))
-        fields = cls._field_names + own  # the base record's, inherited
-        defaults = {**cls._defaults, **(defaults or {})}
-        for name, later in zip(fields, fields[1:]):
-            if name in defaults and later not in defaults:
-                raise TypeError(f"{cls.__qualname__}: field {later!r} without "
-                                f"a default follows {name!r}, which has one")
-        cls._field_names, cls._defaults = fields, defaults
-        scope = {f"_set_{name}": getattr(cls, name).__set__ for name in fields}
-        scope["_defaults"] = defaults
-        params = "".join(
-            f", {name}=_defaults[{name!r}]" if name in defaults else f", {name}"
-            for name in fields)
-        body = "".join(f"\n    _set_{name}(self, {name})"
-                       for name in fields) or "\n    pass"
-        exec(f"def __init__(self{params}):{body}", scope)
-        init = scope["__init__"]
-        init.__qualname__ = f"{cls.__qualname__}.__init__"
-        cls.__init__ = init
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._field_names)
-
     def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
 
-    def __hash__(self) -> int:
-        return hash(self._fields())
+    def __ne__(self, other):
+        return other.__class__ is not self.__class__ or tuple.__ne__(self, other)
+
+    __hash__ = tuple.__hash__
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{name}={getattr(self, name)!r}"
-                          for name in self._field_names)
+        shown = ", ".join(f"{name}={value!r}"
+                          for name, value in zip(self._field_names, self))
         return f"{type(self).__qualname__}({shown})"
 
     def __setattr__(self, name, value):
@@ -71,4 +71,4 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return type(self), self._fields()
+        return type(self), tuple(self)

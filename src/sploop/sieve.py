@@ -50,6 +50,7 @@ DEFAULT_MEMORY_BUDGET = 4 << 30
 _SLICE = 1 << 17  # numbers per slice when listing or packing the members
 _SCATTER = 1 << 13  # members per fancy-index write when making the flags
 _BLOCK = 1 << 20  # wheel flags per block of the base prime sieve
+_RECORD_BLOCK = 1 << 14  # gaps per block when finding the record gaps
 
 
 def _member_dtype(limit: int) -> type:
@@ -145,7 +146,9 @@ class QIndex(QFront):
     ``elements`` holds the members from construction. ``gaps`` and the
     record gaps behind ``first_gap`` are computed on first use and kept: a
     caller that never asks a gap question never pays their memory (as many
-    bytes per element as the members).
+    bytes per element as the members). The record gaps, each wider than
+    every gap before it, are found a block of gaps at a time, searching
+    only the blocks whose maximum beats the widest gap so far.
     """
 
     __slots__ = ("elements", "_gaps", "_records")
@@ -195,13 +198,22 @@ class QIndex(QFront):
     def _record_gaps(self) -> tuple[np.ndarray, np.ndarray]:
         """Positions where the running maximum of ``gaps`` rises, and the
         gaps there, which strictly increase. The first i with gaps[i] >= w
-        is always one of these positions."""
+        is always one of these positions.
+
+        A block of ``_RECORD_BLOCK`` gaps whose maximum does not beat the
+        widest gap so far is skipped; in one that does, each step finds the
+        next record as the first gap that beats the last. So there is one
+        step per record (28 at 1e8), and no running maximum of all gaps."""
         if self._records is None:
-            gaps = self.gaps
-            running = np.maximum.accumulate(gaps)
-            rising = np.ones(gaps.size, dtype=bool)
-            np.greater(running[1:], running[:-1], out=rising[1:])
-            where = np.flatnonzero(rising)
+            gaps, where, best = self.gaps, [], -1
+            for start in range(0, gaps.size, _RECORD_BLOCK):
+                block = gaps[start : start + _RECORD_BLOCK]
+                while block.size and block.max() > best:
+                    i = int((block > best).argmax())
+                    best = int(block[i])
+                    where.append(start + i)
+                    start, block = start + i + 1, block[i + 1 :]
+            where = np.array(where, dtype=np.intp)
             self._records = (where, gaps[where])
         return self._records
 

@@ -61,18 +61,20 @@ class SpAp(Record, defaults={"chain_value": None}):
 def gap_pairs(index: QIndex, g: int, limit: int) -> list[SpPair]:
     """All consecutive SP pairs with hi - lo = g and hi <= limit, ascending.
 
-    The cycle collector is paused while the records are made. Each holds
-    three ints, so none can be part of a reference cycle, yet the
-    collector would make full passes over the growing list of them; at
-    1e8, with 214,712 gap-1 pairs, those passes took most of the time.
-    The collector is turned back on only if it was on.
+    Each record is made by ``tuple.__new__`` straight from its three ints,
+    which skips the compiled ``__new__`` and its argument binding. The
+    cycle collector is paused while they are made: instances of a tuple
+    subclass stay tracked by it, and though three ints can be part of no
+    reference cycle, the collector would make full passes over the growing
+    list of them; at 1e8, with 214,712 gap-1 pairs, those passes took most
+    of the time. The collector is turned back on only if it was on.
     """
     index._check_gap(g, limit)
     lo, hi = index._pair_ends(g, limit)
     was = gc.isenabled()
     gc.disable()
     try:
-        return list(map(SpPair, lo, hi, repeat(g)))
+        return list(map(tuple.__new__, repeat(SpPair), zip(lo, hi, repeat(g))))
     finally:
         if was:
             gc.enable()

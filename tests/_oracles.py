@@ -158,6 +158,17 @@ def fixed_point_slow(elements: np.ndarray, q: int) -> int | None:
     return int(elements[hits[0] + 1]) if hits.size else None
 
 
+def record_gaps_slow(gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions where the running maximum of gaps rises (position 0
+    always), and the gaps there, from one running maximum of the whole
+    array."""
+    running = np.maximum.accumulate(gaps)
+    rising = np.ones(gaps.size, dtype=bool)
+    np.greater(running[1:], running[:-1], out=rising[1:])
+    where = np.flatnonzero(rising)
+    return where, gaps[where]
+
+
 def gap_histogram_slow(elements: np.ndarray, limit: int) -> dict[int, int]:
     """Counts of the gaps between consecutive SP numbers <= limit."""
     sps = elements[1:]

@@ -20,6 +20,7 @@ from _oracles import (
     gap_histogram_slow,
     gap_pairs_slow,
     gap_run_slow,
+    record_gaps_slow,
     twin_shift_violation_slow,
 )
 from sploop import (
@@ -35,6 +36,7 @@ from sploop import (
     scan_bertrand,
 )
 from sploop.loop_algebra import widest_gap
+from sploop.sieve import _RECORD_BLOCK
 
 TOP = 2000
 
@@ -107,6 +109,64 @@ def test_every_limit_to_2000(indexes):
 
 def test_first_gap_at_least_at_1e5(index_1e5):
     assert_first_gap_queries(index_1e5)
+
+
+def assert_record_gaps(index):
+    where, widths = index._record_gaps()
+    want_where, want_widths = record_gaps_slow(index.gaps)
+    assert where.tolist() == want_where.tolist()
+    assert widths.tolist() == want_widths.tolist()
+    assert widths.dtype == index.gaps.dtype
+    return where.tolist()
+
+
+def index_with_gaps(gaps: list[int]) -> QIndex:
+    """A QIndex whose members are 1 and then the running sums of gaps."""
+    elements = np.cumsum([1] + gaps).astype(np.uint32)
+    return QIndex(int(elements[-1]), elements)
+
+
+B = _RECORD_BLOCK
+
+
+def test_record_gaps_at_block_edges():
+    gaps = [2] * (4 * B)
+    gaps[B - 1] = 5  # the last position of the first block
+    gaps[B] = 6  # the first of the second
+    gaps[B + 7] = 7  # and a second record in the same block
+    gaps[2 * B - 1] = 9  # the last of the second block
+    gaps[3 * B + 11] = 9  # the third block's maximum only ties it
+    gaps[3 * B + 12] = 8  # below the best, past a tie
+    assert assert_record_gaps(index_with_gaps(gaps)) == \
+        [0, B - 1, B, B + 7, 2 * B - 1]
+
+
+def test_record_gaps_after_a_tying_block():
+    gaps = [1] * (3 * B)
+    gaps[5] = 4
+    gaps[B + 3] = 4  # the second block only ties the first: skipped
+    gaps[2 * B] = 4  # the third is searched, and steps over its tie
+    gaps[2 * B + 1] = 5  # to the record right after it
+    assert assert_record_gaps(index_with_gaps(gaps)) == [0, 5, 2 * B + 1]
+
+
+@pytest.mark.parametrize("gaps", [[7], [3, 1, 3, 4, 2, 4, 9], [5] * 100,
+                                  list(range(1, 300)), list(range(300, 0, -1))],
+                         ids=["one", "short", "flat", "rising", "falling"])
+def test_record_gaps_shorter_than_a_block(gaps):
+    assert_record_gaps(index_with_gaps(gaps))
+
+
+@pytest.mark.parametrize("limit, size", [(7, 0), (8, 1)])
+def test_record_gaps_with_at_most_one_gap(limit, size):
+    index = build_sieve(limit)
+    assert index.gaps.size == size
+    assert assert_record_gaps(index) == list(range(size))
+
+
+def test_record_gaps_at_1e7(index_1e7):
+    assert index_1e7.gaps.size > 33 * B  # the gaps span 34 blocks
+    assert len(assert_record_gaps(index_1e7)) == 24
 
 
 def test_violation_witnesses():

@@ -5,6 +5,7 @@ dataclass gives them."""
 from __future__ import annotations
 
 import copy
+import json
 import pickle
 
 import pytest
@@ -180,3 +181,56 @@ def test_a_subclass_inherits_defaults_and_keeps_them_trailing():
     with pytest.raises(TypeError, match="without a default"):
         class Untagged(SpAp):
             __slots__ = ("tag",)
+
+
+# Records are tuples of their fields underneath.
+
+
+@pytest.mark.parametrize("record", [v[0] for v in VALUE_RECORDS],
+                         ids=[type(v[0]).__name__ for v in VALUE_RECORDS])
+def test_a_record_never_equals_a_plain_tuple(record):
+    fields = tuple(record)
+    assert not record == fields and record != fields
+    assert not fields == record and fields != record
+    assert [record] != [fields] and [fields] != [record]
+    assert {record: 1}.get(fields) is None
+
+
+def test_tuple_behaviour_of_a_record():
+    pair = SpPair(27, 28, 1)
+    assert len(pair) == 3 and pair[0] == 27 and pair[-1] == 1
+    assert pair[:2] == (27, 28)
+    lo, hi, gap = pair
+    assert (lo, hi, gap) == (27, 28, 1)
+    assert SpPair(27, 28, 1) < SpPair(27, 29, 2)
+    assert len(Empty()) == 0
+
+
+def test_json_writes_a_record_as_a_list():
+    assert json.dumps(SpPair(27, 28, 1)) == "[27, 28, 1]"
+    assert json.dumps(GapRun(33, 11)) == "[33, 11]"
+
+
+def test_a_subclass_with_its_own_fields_pickles_and_copies():
+    run = Named(33, 11, "first")
+    for again in (pickle.loads(pickle.dumps(run)), copy.copy(run),
+                  copy.deepcopy(run)):
+        assert again == run and type(again) is Named
+        assert (again.start, again.length, again.name) == (33, 11, "first")
+    assert tuple(run) == (33, 11, "first")
+
+
+def test_cayley_tables_differ_by_identity_in_both_operators():
+    table = CayleyTable(order=1, members=(1,), entries=[[1]])
+    twin = CayleyTable(order=1, members=(1,), entries=[[1]])
+    assert table != twin and not table == twin
+    assert not table != table and table == table
+
+
+def test_gap_pairs_are_sp_pairs_by_value(index_117):
+    from sploop import gap_pairs
+
+    pairs = gap_pairs(index_117, 1, 117)
+    assert pairs == [SpPair(lo, hi, 1) for lo, hi in index_117.gap_pairs(1, 117)]
+    assert all(type(p) is SpPair for p in pairs)
+    assert pairs[0] == SpPair(27, 28, 1) and pairs[0].hi == 28

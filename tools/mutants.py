@@ -35,12 +35,16 @@ SIEVE = "src/sploop/sieve.py"
 LOOP = "src/sploop/loop_algebra.py"
 THEOREMS = "src/sploop/theorems.py"
 CLI = "src/sploop/cli.py"
+RECORD = "src/sploop/record.py"
+ANALYTICS = "src/sploop/analytics.py"
 
 ACCEPTANCE = "tests/test_acceptance.py::test_criterion_0"
 CACHEFILE = "tests/test_cachefile.py::"
 CLI_TESTS = "tests/test_cli.py::"
 LOOP_TESTS = "tests/test_loop.py::"
 SIEVE_TESTS = "tests/test_sieve.py::"
+RECORD_TESTS = "tests/test_records.py::"
+GAP_TESTS = "tests/test_gap_kernels.py::"
 
 # (name, file, old text, new text, test node ids that must fail)
 MUTANTS = [
@@ -156,6 +160,25 @@ MUTANTS = [
     ("cli: crossover with <", CLI,
      "pure=args.limit <= PURE_BUILD_MAX", "pure=args.limit < PURE_BUILD_MAX",
      [CLI_TESTS + "TestCachedPointRoute::test_the_crossover_picks_the_route"]),
+    # Records as tuples, record gaps found block by block, and the digit
+    # census without np.bincount.
+    ("record: __eq__ defers to the other class", RECORD,
+     "return other.__class__ is self.__class__ and tuple.__eq__(self, other)",
+     "return (tuple.__eq__(self, other) if other.__class__ is self.__class__\n"
+     "                else NotImplemented)",
+     [RECORD_TESTS + "test_a_record_never_equals_a_plain_tuple"]),
+    ("loop: CayleyTable without __ne__", LOOP,
+     "    __ne__ = object.__ne__\n", "",
+     [RECORD_TESTS + "test_cayley_tables_differ_by_identity_in_both_operators"]),
+    ("qindex: record block test with >=", SIEVE,
+     "block.max() > best", "block.max() >= best",
+     [GAP_TESTS + "test_record_gaps_at_block_edges"]),
+    ("qindex: record block restarts one early", SIEVE,
+     "start + i + 1", "start + i",
+     [GAP_TESTS + "test_record_gaps_at_block_edges"]),
+    ("analytics: digit census counts range(9)", ANALYTICS,
+     "for d in range(10)}", "for d in range(9)}",
+     ["tests/test_analytics.py::TestDigitCensus::test_census_at_117"]),
 ]
 
 
