@@ -16,7 +16,10 @@ import numpy as np
 
 from .errors import DomainError
 from .record import Record
-from .sieve import QIndex
+
+TYPE_CHECKING = False  # as typing.TYPE_CHECKING, without importing typing
+if TYPE_CHECKING:
+    from .sieve import QIndex
 
 DENSITY_TARGET = math.pi * math.pi / 6 - 1
 
@@ -95,7 +98,8 @@ def digit_census(index: QIndex, limit: int) -> DigitCensus:
     digit1_target is the modeled count digit1_constant() * limit / ln(limit),
     reported for side-by-side comparison; it is not a tolerance assertion.
     """
-    sps = index.elements[1 : index.sp_count(limit) + 1]
+    index._check_range(limit)
+    sps = index._sp_members(limit)
     # One byte per digit: np.bincount would cast the residues to intp.
     digits = (sps % 10).astype(np.uint8)
     target = digit1_constant() * limit / math.log(limit) if limit >= 2 else 0.0

@@ -35,7 +35,7 @@ import signal
 import sys
 import time
 from collections.abc import Iterable
-from itertools import chain
+from itertools import chain, count
 
 from . import cachefile, spcore
 from .errors import (
@@ -732,22 +732,23 @@ def _suite_theorem3(args, q):
 
 
 def _suite_theorem4(args, q):
-    import numpy as np
-
     from . import theorems
 
     bound = args.max if args.max is not None else min(10**5, q.limit)
     q._check_cover(bound)
-    twin = int(np.argmax(q.gaps == 1))  # the first gap-1 pair, if any
-    if q.gaps[twin] != 1:
+    lo, first = 1, q._next(2)  # walk the members to the first twin pair
+    while first is not None and first - lo > 1:
+        lo, first = first, q._next(first + 1)
+    if first is None:
         if args.max is not None:
             raise CapacityError(
-                f"no twin pair below limit {q.limit}; a larger limit holds one")
+                f"no twin pair below limit {q.limit}; a larger limit holds one",
+                required=next(n for n in count(3)
+                              if spcore.is_sp(n - 1) and spcore.is_sp(n)))
         return [_check(
             "default_max", True,
             f"no twin pair lies below limit {q.limit}, so the default "
             f"--max {bound} has none to probe")]
-    first = int(q.elements[twin + 1])
     if bound < first:
         # No twin pair has both members <= bound, so nothing is checked.
         raise DomainError(f"need --max >= {first}, got {bound}")

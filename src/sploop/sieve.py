@@ -6,6 +6,8 @@ from that array.
 The queries, their checks and errors live in the ``front`` module, shared
 with the numpy-free ``cachefile.QBits``; ``QIndex`` supplies the
 primitives it lists, each a ``searchsorted`` or a slice of the members.
+No other module indexes the members or their gaps: they ask the front,
+or a ``QIndex`` primitive such as ``_sp_members`` or ``_repeats``.
 ``SpSieve`` is a ``QIndex`` made by the sieve or read from the cache: it
 adds the flag per number, ``is_sp`` and the cache file. ``build_sieve``
 and ``load_cache`` return one; no second object is needed to query it.
@@ -139,16 +141,11 @@ def _estimate_build_bytes(limit: int) -> int:
 
 
 class QIndex(QFront):
-    """Sorted members of Q (1 followed by every SP <= limit) with counts and
-    order queries: the primitives of the ``front`` module, each one
-    ``searchsorted`` or slice of the members.
-
-    ``elements`` holds the members from construction. ``gaps`` and the
-    record gaps behind ``first_gap`` are computed on first use and kept: a
-    caller that never asks a gap question never pays their memory (as many
-    bytes per element as the members). The record gaps, each wider than
-    every gap before it, are found a block of gaps at a time, searching
-    only the blocks whose maximum beats the widest gap so far.
+    """Sorted members of Q, held in ``elements`` from construction, and the
+    ``front`` module's primitives over them. ``gaps`` and the record gaps
+    behind ``first_gap`` are computed on first use and kept: a caller that
+    never asks a gap question never pays their memory (as many bytes per
+    element as the members).
     """
 
     __slots__ = ("elements", "_gaps", "_records")
@@ -237,12 +234,18 @@ class QIndex(QFront):
         hits = 1 + np.flatnonzero(self._sp_gaps(limit) == g)
         return elements[hits].tolist(), elements[hits + 1].tolist()
 
+    def _sp_members(self, limit: int) -> np.ndarray:
+        """The SP numbers <= limit, ascending, as a view of the members."""
+        return self.elements[1 : _rank(self.elements, limit, "right")]
+
     def _sp_gaps(self, limit: int) -> np.ndarray:
-        """The gaps between consecutive SP numbers <= limit, ascending by
-        their lower end: entry i leads from ``elements[i + 1]``."""
-        # gaps[0] leads from 1 to the first SP; SP gaps are gaps[1 : m - 1].
-        m = _rank(self.elements, limit, "right")
-        return self.gaps[1 : max(m - 1, 1)]
+        """The gaps between consecutive SP numbers <= limit, ``gaps[1:k]``
+        for k of them: entry i leads from ``elements[i + 1]``."""
+        return self.gaps[1 : len(self._sp_members(limit))]
+
+    def _repeats(self) -> list[int]:
+        """Values listed more than once, ascending, once per extra listing."""
+        return self.elements[:-1][self.gaps == 0].tolist()
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -8,19 +8,20 @@ property (an SP strictly between n and 2n), successor adjacency, and the
 twin-shift adjacency property. Scans either return the first
 counterexample or report absence over the whole range.
 
-The range scans answer from the index's gap array instead of testing one
-integer at a time. N(n) is constant on each [e_i, e_{i+1}) of consecutive
-members, so the doubling property fails there exactly for the n with
-e_{i+1} >= 2n; N(t) and N(t+1) can only be further apart than one step of
-Q where t + 1 is listed twice (a gap of 0); and the twin shift is
-adjacency at t = a - x. Gap pairs are the index's own ``gap_pairs``; the
-SP-free runs live in ``loop_algebra``, which reads them off ``first_gap``.
+The range scans ask the index about its gaps and never read its members.
+N(n) is constant on each gap [a, b) of consecutive members, so the
+doubling property fails there exactly for the n with b >= 2n, which only
+a gap at least a wide leaves: the scan reads the record gaps behind
+``first_gap``. N(t) and N(t+1) are more than one step of Q apart only
+where t + 1 is listed twice, so adjacency and the twin shift (adjacency at
+t = a - x) read the index's repeated values, ``_repeats``.
 ``tests/_oracles.py`` keeps the per-integer scans these replace.
 """
 
 from __future__ import annotations
 
 import gc
+import math
 from itertools import repeat
 
 import numpy as np
@@ -36,8 +37,11 @@ from .errors import (
 )
 from .loop_algebra import _successors, lop
 from .record import Record
-from .sieve import QIndex, _rank
 from .spcore import _successor_beyond
+
+TYPE_CHECKING = False  # as typing.TYPE_CHECKING, without importing typing
+if TYPE_CHECKING:
+    from .sieve import QIndex
 
 TRIPLE_RANK_BUDGET = 2000
 
@@ -80,14 +84,6 @@ def gap_pairs(index: QIndex, g: int, limit: int) -> list[SpPair]:
             gc.enable()
 
 
-def _primorial_below(n: int) -> int:
-    out = 1
-    for p in range(2, n):
-        if spcore.is_prime(p):
-            out *= p
-    return out
-
-
 def find_prime_ap(n: int, search_bound: int) -> tuple[int, ...]:
     """Prime arithmetic progression of length n with the smallest last term.
 
@@ -100,7 +96,7 @@ def find_prime_ap(n: int, search_bound: int) -> tuple[int, ...]:
     """
     if n < 1:
         raise DomainError(f"need length n >= 1, got {n}")
-    primorial = _primorial_below(n)
+    primorial = math.prod(p for p in range(2, n) if spcore.is_prime(p))
     for last in range(2, search_bound + 1):
         if not spcore.is_prime(last):
             continue
@@ -232,9 +228,11 @@ def scan_bertrand(index: QIndex, lo: int, hi: int) -> list[int]:
     """All n in [lo, hi] whose open interval (n, 2n) contains no SP number.
 
     The check is successor(n) < 2n. The interval is open on both ends, so
-    n = 4 fails even though 8 = 2n is SP. For n in [e_i, e_{i+1}) the
-    successor is e_{i+1}, so n fails exactly when n <= e_{i+1} // 2, and
-    only a gap at least e_i wide leaves such an n.
+    n = 4 fails even though 8 = 2n is SP. For n in a gap [a, b) between
+    consecutive members the successor is b, so n fails exactly when
+    n <= b // 2, and only a gap at least a wide leaves such an n. The walk
+    takes the first gap at least as wide as the last one's b: each gap it
+    steps over is narrower than b, which is at most its own lower end.
     """
     if lo < 1:
         raise DomainError(f"need lo >= 1, got {lo}")
@@ -246,21 +244,16 @@ def scan_bertrand(index: QIndex, lo: int, hi: int) -> list[int]:
             f"{index.limit}; rebuild with limit >= {2 * hi}",
             required=2 * hi,
         )
-    elements = index.elements
     failures: list[int] = []
-    m = min(_rank(elements, hi, "right"), len(index.gaps))
-    for i in np.flatnonzero(index.gaps[:m] >= elements[:m]):
-        nxt = int(elements[i + 1])
-        a, b = max(int(elements[i]), lo), min(nxt - 1, nxt // 2, hi)
-        failures.extend(range(a, b + 1))
+    w = 0
+    while (gap := index.first_gap(w)) is not None and gap[0] <= hi:
+        a, b = gap
+        if b - a >= a:
+            failures.extend(range(max(a, lo), min(b - 1, b // 2, hi) + 1))
+        w = b
     # Past the largest element there is no successor at all.
     failures.extend(range(max(index.max_element, lo), hi + 1))
     return failures
-
-
-def _repeated_values(index: QIndex) -> np.ndarray:
-    """Values listed more than once in the index, ascending, each once."""
-    return np.unique(index.elements[:-1][index.gaps == 0])
 
 
 def check_adjacency(index: QIndex, t_max: int) -> int | None:
@@ -279,9 +272,8 @@ def check_adjacency(index: QIndex, t_max: int) -> int | None:
             f"largest indexed element is {index.max_element}",
             required=_successor_beyond(t_max + 1),
         )
-    ts = _repeated_values(index).astype(np.int64) - 1
-    ts = ts[(ts >= 0) & (ts <= t_max)]
-    return int(ts[0]) if ts.size else None
+    repeated = index._repeats()
+    return repeated[0] - 1 if repeated and repeated[0] <= t_max + 1 else None
 
 
 def check_twin_shift(
@@ -297,11 +289,11 @@ def check_twin_shift(
     largest repeated value.
     """
     index._check_cover(limit)
-    repeated = _repeated_values(index)
-    if repeated.size == 0:
+    repeated = index._repeats()
+    if not repeated:
         return None
     for a, _ in index.gap_pairs(1, limit):
-        for v in repeated[::-1].tolist():
+        for v in reversed(repeated):
             x = a + 1 - v
             if x >= a:
                 break

@@ -721,6 +721,16 @@ class TestVerifySuites:
         assert (code, out) == (3, "")
         assert "no twin pair below limit 20" in err
 
+    def test_theorem4_without_a_twin_asks_for_the_first_one(self):
+        # (27, 28) is the first twin pair, so limit 27 holds none and 28 does.
+        assert run("verify", "--suite", "theorem4", "--limit", "27",
+                   "--max", "27") == (3, "", "capacity: no twin pair below "
+                                      "limit 27; a larger limit holds one "
+                                      "(try --limit 28)\n")
+        code, payload = run_json("verify", "--suite", "theorem4",
+                                 "--limit", "28", "--max", "28")
+        assert (code, payload["ok"]) == (0, True)
+
     def test_theorem4_max_past_a_limit_without_a_twin(self):
         # The bound is refused before the missing twin, with its required.
         assert run("verify", "--suite", "theorem4", "--limit", "20",
@@ -736,6 +746,20 @@ class TestVerifySuites:
             "name": "default_max", "ok": True,
             "detail": f"no twin pair lies below limit {limit}, so the "
                       f"default --max {limit} has none to probe"}]
+
+    def test_verify_all_never_imports_numpy_ma(self):
+        # np.unique imports numpy.ma on its first call, about 12 ms.
+        src = os.path.dirname(os.path.dirname(sploop.__file__))
+        script = (
+            "import contextlib, io, sys, sploop.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    sploop.cli.dispatch(['--limit', '10000', 'verify', '--suite', 'all'])\n"
+            "assert 'numpy' in sys.modules\n"
+            "assert 'numpy.ma' not in sys.modules\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
 
     def test_verify_all_never_builds_the_flags(self, monkeypatch):
         def built(_sieve):

@@ -27,6 +27,7 @@ from sploop import (
     CapacityError,
     QIndex,
     build_sieve,
+    cachefile,
     check_adjacency,
     check_twin_shift,
     find_gap_run,
@@ -178,6 +179,61 @@ def test_violation_witnesses():
     assert check_adjacency(index, 100) == 26
     assert check_twin_shift(index, 200) == (27, 1, 27)
     assert_scans_match(index)
+
+
+def test_a_value_listed_three_times():
+    # 27 listed three times is repeated twice; the scans answer as the
+    # oracles, which see the same value twice.
+    elements = QIndex.from_sieve(build_sieve(200)).elements
+    tripled = np.sort(np.append(elements, [27, 27]))
+    index = QIndex(200, tripled)
+    assert index._repeats() == [27, 27]
+    for t_max in (25, 26, 100):
+        assert check_adjacency(index, t_max) == \
+            adjacency_violation_slow(tripled, t_max)
+    for bound in (27, 28, 200):
+        assert check_twin_shift(index, bound) == \
+            twin_shift_violation_slow(tripled, bound)
+    assert check_twin_shift(index, 200) == (27, 1, 27)
+
+
+def assert_bertrand_walk(index):
+    """scan_bertrand against the per-integer oracle, for every hi it takes."""
+    for lo in (1, 2, 3, 5):
+        for hi in range(lo, index.limit // 2 + 1):
+            assert scan_bertrand(index, lo, hi) == \
+                bertrand_failures_slow(index.elements, lo, hi), (lo, hi)
+
+
+@pytest.mark.parametrize("members", [
+    # The gap (8, 16) is exactly as wide as its lower end: n = 8 fails.
+    [1, 8, 16],
+    # A failing gap (200, 450) after a long run of narrower gaps.
+    [1] + list(range(8, 201, 2)) + [450, 451, 460],
+    # The failing gap (60, 130) lies past every hi below 60.
+    [1] + list(range(8, 61, 2)) + [130, 131],
+], ids=["as-wide-as-its-lower-end", "after-narrow-gaps", "past-hi"])
+def test_bertrand_walk_on_chosen_gaps(members):
+    elements = np.array(members, dtype=np.int64)
+    assert_bertrand_walk(QIndex(2 * members[-1] + 2, elements))
+
+
+def test_bertrand_walk_without_a_gap():
+    index = build_sieve(7)
+    assert index.first_gap(0) is None
+    assert_bertrand_walk(index)
+    assert scan_bertrand(index, 1, 3) == [1, 2, 3]
+
+
+def test_bertrand_walk_on_bits_answers_as_the_index(indexes):
+    payload = cachefile.build_payload(TOP)
+    for index in indexes:
+        bits = cachefile.QBits(index.limit, payload)
+        for lo in (1, 2, 3, 5):
+            hi = index.limit // 2
+            if lo <= hi:
+                assert scan_bertrand(bits, lo, hi) == \
+                    scan_bertrand(index, lo, hi), (index.limit, lo)
 
 
 @st.composite

@@ -114,7 +114,7 @@ MUTANTS = [
      "    index._check_gap(g, limit)\n", "",
      [CACHEFILE + "test_padding_bits_are_not_members"]),
     ("cli: theorem4 without _check_cover", CLI,
-     "    q._check_cover(bound)\n    twin", "    twin",
+     "    q._check_cover(bound)\n    lo, first", "    lo, first",
      [CLI_TESTS + "TestVerifySuites::test_theorem4_max_past_a_limit_without_a_twin"]),
     ("loop: _check_member without _check_cover", LOOP,
      "    index._check_cover(x)\n", "",
@@ -179,6 +179,23 @@ MUTANTS = [
     ("analytics: digit census counts range(9)", ANALYTICS,
      "for d in range(10)}", "for d in range(9)}",
      ["tests/test_analytics.py::TestDigitCensus::test_census_at_117"]),
+    # The doubling scan walks the record gaps, the repeats come from one
+    # primitive, and theorem4 walks the members to the first twin pair.
+    # (``w = b - a`` is left out: it finds the same gap again and loops.)
+    ("theorems: doubling walk skips a gap as wide as its lower end", THEOREMS,
+     "if b - a >= a:", "if b - a > a:",
+     [GAP_TESTS + "test_bertrand_walk_on_chosen_gaps[as-wide-as-its-lower-end]"]),
+    ("theorems: doubling walk asks for a gap one too wide", THEOREMS,
+     "        w = b\n", "        w = b + 1\n",
+     [GAP_TESTS + "test_bertrand_walk_on_chosen_gaps[as-wide-as-its-lower-end]"]),
+    ("qindex: _repeats reads gaps of 1", SIEVE,
+     "[self.gaps == 0]", "[self.gaps == 1]",
+     [GAP_TESTS + "test_a_value_listed_three_times"]),
+    ("cli: theorem4 twin walk stops one member early", CLI,
+     "while first is not None and first - lo > 1:",
+     "while first is not None and q._next(first + 1) - first > 1:",
+     [CLI_TESTS + "TestVerifySuites::"
+      "test_theorem4_max_below_the_first_twin_is_a_usage_error"]),
 ]
 
 
