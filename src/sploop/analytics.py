@@ -6,13 +6,12 @@ All logarithms are natural logarithms. The density comparison is a trend
 check: the ratio sp_count(n) * ln(n) / n drifts toward zeta(2) - 1 but the
 second-order term keeps the constant itself out of reach at desk scale,
 so only the shrinking of the absolute error across decades is asserted.
+Only ``digit_census`` and ``gap_histogram`` import numpy, when called.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from .errors import DomainError
 from .record import Record
@@ -98,6 +97,8 @@ def digit_census(index: QIndex, limit: int) -> DigitCensus:
     digit1_target is the modeled count digit1_constant() * limit / ln(limit),
     reported for side-by-side comparison; it is not a tolerance assertion.
     """
+    import numpy as np
+
     index._check_range(limit)
     sps = index._sp_members(limit)
     # One byte per digit: np.bincount would cast the residues to intp.
@@ -112,6 +113,8 @@ def digit_census(index: QIndex, limit: int) -> DigitCensus:
 
 def gap_histogram(index: QIndex, limit: int) -> dict[int, int]:
     """Counts of consecutive-SP gaps among SP numbers <= limit."""
+    import numpy as np
+
     index._check_range(limit)
     counts = np.bincount(index._sp_gaps(limit))
     return {int(g): int(counts[g]) for g in np.flatnonzero(counts)}

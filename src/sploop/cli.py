@@ -14,12 +14,13 @@ the given file is read and checked when it exists and covers the
 requested limit, and left as it is; otherwise Q is built and saved there.
 Results with and without a cache are identical.
 
-The cached commands op, succ, pred, count, nth, fixed-point, gap-run,
-pairs and table, and build, answer from the cache file's bits
-(``cachefile.QBits``) when it exists and covers the limit, else from bits
-built without numpy (``cachefile.build_payload``) up to ``PURE_BUILD_MAX``.
-Above it, and for every other command, Q is built as a numpy ``SpSieve``;
-the numpy-using modules are imported inside the functions that use them.
+Every handler takes Q from ``_index``. The cached commands op, succ,
+pred, count, nth, fixed-point, gap-run, pairs and table, and build, ask it
+for bits: the cache file's (``cachefile.QBits``) when it exists and covers
+the limit, else bits built without numpy (``cachefile.build_payload``) up
+to ``PURE_BUILD_MAX``. Above it, and for every other command, Q is built as
+a numpy ``SpSieve``; the numpy-using modules are imported inside the
+functions that use them, and ``verify`` imports the suites of ``verify.py``.
 
 The outputs that grow with the result (list, pairs and table) reach
 ``_emit`` as generators, so only the chosen format is rendered.
@@ -35,9 +36,9 @@ import signal
 import sys
 import time
 from collections.abc import Iterable
-from itertools import chain, count
+from itertools import chain
 
-from . import cachefile, spcore
+from . import cachefile
 from .errors import (
     CacheError,
     CapacityError,
@@ -51,13 +52,10 @@ from .errors import (
 )
 from .loop_algebra import (
     cayley_rows,
-    cayley_table,
     find_gap_run,
     find_nonassoc_witness,
     fixed_point,
-    longest_gap_run,
     lop,
-    widest_gap,
 )
 
 DEFAULT_LIMIT = 10_000_000
@@ -65,6 +63,9 @@ DEFAULT_LIMIT = 10_000_000
 # build costs ~10 ns a number, numpy's ~1.3 ns plus its import (they met
 # between 1.5e7 and 1.75e7 on a 2-core x86 host).
 PURE_BUILD_MAX = 15_000_000
+# ``verify.SUITES``'s names, for --suite; only ``verify`` imports the suites.
+SUITE_NAMES = ("axioms", "lemma1", "lemma2", "lemma3", "lemma4",
+               "theorem1", "theorem2", "theorem3", "theorem4")
 
 EXIT_OK = 0
 EXIT_FINDING = 1
@@ -182,7 +183,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, required=True)
 
     p = cmd("verify", _cmd_verify, "run a named verification suite")
-    p.add_argument("--suite", required=True, choices=sorted(SUITES) + ["all"])
+    p.add_argument("--suite", required=True, choices=SUITE_NAMES + ("all",))
     p.add_argument("--rank", type=int, help="prefix rank (axioms, theorem3)")
     p.add_argument("--n-max", type=int,
                    help="largest run length (lemma1; default 25, capped at "
@@ -206,42 +207,23 @@ def _build_parser() -> argparse.ArgumentParser:
 # -- sieve acquisition ----------------------------------------------------
 
 
-def _cached_payload(args):
-    """The --cache file's payload when the file exists and covers --limit,
-    else None. A malformed file raises its cache error."""
+def _index(args, bits=True):
+    """Q up to --limit. A --cache file that exists and covers the limit is
+    read and checked first, so a malformed one fails, and is left as it
+    is; with ``bits`` its bits answer. Otherwise Q is built, as bits
+    without numpy up to ``PURE_BUILD_MAX`` when ``bits`` allows, else as a
+    numpy ``SpSieve``, and saved to --cache unless that file was fresh."""
+    fresh = False
     if args.cache and os.path.exists(args.cache):
         limit, payload = cachefile.read(args.cache)
-        if limit >= args.limit:
-            if args.verbose:
-                print(f"loaded cache {args.cache} (limit {limit})",
-                      file=sys.stderr)
-            return payload
-    return None
-
-
-def _load_or_build(args):
-    """Q up to --limit as a numpy ``SpSieve``, built. A --cache file that
-    covers the limit is read and checked first, so a malformed one still
-    fails, and is left as it is; otherwise the build is saved there."""
-    fresh = _cached_payload(args) is not None
-    sieve = _build(args)
-    return sieve if fresh else _save(args, sieve)
-
-
-def _cached_index(args):
-    """Q up to --limit for the cached commands and build: the cache file's
-    bits when it covers the limit, else built and saved, without numpy up
-    to ``PURE_BUILD_MAX``."""
-    payload = _cached_payload(args)
-    if payload is not None:
-        return cachefile.QBits(args.limit, payload)
-    return _save(args, _build(args, pure=args.limit <= PURE_BUILD_MAX))
-
-
-def _build(args, pure=False):
-    """Q built up to --limit: its bits in pure Python, or a numpy sieve."""
+        fresh = limit >= args.limit
+        if fresh and args.verbose:
+            print(f"loaded cache {args.cache} (limit {limit})", file=sys.stderr)
+        if fresh and bits:
+            return cachefile.QBits(args.limit, payload)
+        del payload  # not held through the build
     started = time.monotonic()
-    if pure:
+    if bits and args.limit <= PURE_BUILD_MAX:
         q = cachefile.QBits(args.limit, cachefile.build_payload(args.limit))
     else:
         from .sieve import build_sieve
@@ -250,16 +232,11 @@ def _build(args, pure=False):
     if args.verbose:
         print(f"built sieve to {args.limit} in {time.monotonic() - started:.2f}s",
               file=sys.stderr)
-    return q
-
-
-def _save(args, sieve):
-    """The sieve, saved to --cache first when one is named."""
-    if args.cache:
-        sieve.save(args.cache)
+    if args.cache and not fresh:
+        q.save(args.cache)
         if args.verbose:
             print(f"saved cache {args.cache}", file=sys.stderr)
-    return sieve
+    return q
 
 
 # -- output ---------------------------------------------------------------
@@ -289,7 +266,7 @@ def _emit(args, payload: dict, plain_lines: Iterable[str],
 
 
 def _cmd_build(args) -> int:
-    q = _cached_index(args)
+    q = _index(args)
     count, largest = q.sp_count(q.limit), q.max_element
     out = getattr(args, "out", None)
     if out:
@@ -304,7 +281,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_list(args) -> int:
-    q = _load_or_build(args)
+    q = _index(args, bits=False)
     if args.count is not None:
         if args.count < 0:
             raise DomainError(f"need --count >= 0, got {args.count}")
@@ -325,42 +302,42 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    q = _cached_index(args)
+    q = _index(args)
     c = q.sp_count(args.n)
     _emit(args, {"n": args.n, "sp_count": c}, [str(c)])
     return EXIT_OK
 
 
 def _cmd_succ(args) -> int:
-    q = _cached_index(args)
+    q = _index(args)
     v = q.successor(args.x)
     _emit(args, {"x": args.x, "successor": v}, [str(v)])
     return EXIT_OK
 
 
 def _cmd_pred(args) -> int:
-    q = _cached_index(args)
+    q = _index(args)
     v = q.predecessor(args.x)
     _emit(args, {"x": args.x, "predecessor": v}, [str(v)])
     return EXIT_OK
 
 
 def _cmd_nth(args) -> int:
-    q = _cached_index(args)
+    q = _index(args)
     v = q.nth_sp(args.r)
     _emit(args, {"r": args.r, "sp": v}, [str(v)])
     return EXIT_OK
 
 
 def _cmd_op(args) -> int:
-    q = _cached_index(args)
+    q = _index(args)
     v = lop(q, args.a, args.b)
     _emit(args, {"a": args.a, "b": args.b, "result": v}, [str(v)])
     return EXIT_OK
 
 
 def _cmd_table(args) -> int:
-    q = _cached_index(args)
+    q = _index(args)
     members = q.prefix(args.rank)
     entries = cayley_rows(members)
     payload = {"rank": args.rank, "members": members, "entries": entries}
@@ -376,7 +353,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_nonassoc(args) -> int:
-    q = _load_or_build(args)
+    q = _index(args, bits=False)
     witness = find_nonassoc_witness(q, args.rank)
     payload = {"rank": args.rank,
                "witness": list(witness) if witness else None}
@@ -395,14 +372,14 @@ def _cmd_nonassoc(args) -> int:
 
 
 def _cmd_fixed_point(args) -> int:
-    q = _cached_index(args)
+    q = _index(args)
     a = fixed_point(q, args.q)
     _emit(args, {"q": args.q, "fixed_point": a}, [str(a)])
     return EXIT_OK
 
 
 def _cmd_gap_run(args) -> int:
-    q = _cached_index(args)
+    q = _index(args)
     run = find_gap_run(q, args.n)
     payload = {"n": args.n, "start": run.start, "length": run.length}
     _emit(args, payload,
@@ -411,7 +388,7 @@ def _cmd_gap_run(args) -> int:
 
 
 def _cmd_pairs(args) -> int:
-    q = _cached_index(args)
+    q = _index(args)
     bound = args.max if args.max is not None else q.limit
     pairs = q.gap_pairs(args.gap, bound)
     payload = {"gap": args.gap, "max": bound, "pairs": [list(p) for p in pairs]}
@@ -451,7 +428,7 @@ def _cmd_ap_verify(args) -> int:
     except ValidationError as exc:
         print(f"falsifying input: {exc}", file=sys.stderr)
         return EXIT_FINDING
-    q = _load_or_build(args)
+    q = _index(args, bits=False)
     value = theorems.verify_bullet_chain(q, ap)
     via_difference = q.successor(ap.common_difference)
     verified = value == via_difference
@@ -470,7 +447,7 @@ def _cmd_ap_verify(args) -> int:
 def _cmd_triples(args) -> int:
     from . import theorems
 
-    q = _load_or_build(args)
+    q = _index(args, bits=False)
     triple = theorems.search_equal_triple(q, args.rank)
     payload = {"rank": args.rank,
                "triple": list(triple) if triple else None}
@@ -488,7 +465,7 @@ def _cmd_triples(args) -> int:
 def _cmd_bertrand(args) -> int:
     from . import theorems
 
-    q = _load_or_build(args)
+    q = _index(args, bits=False)
     failures = theorems.scan_bertrand(q, args.lo, args.hi)
     real = [n for n in failures if n >= 5]
     payload = {"from": args.lo, "to": args.hi, "failures": failures,
@@ -506,7 +483,7 @@ def _cmd_bertrand(args) -> int:
 def _cmd_census(args) -> int:
     from . import analytics
 
-    q = _load_or_build(args)
+    q = _index(args, bits=False)
     result = analytics.digit_census(q, args.max)
     total = sum(result.counts.values())
     payload = {"limit": result.limit,
@@ -525,7 +502,7 @@ def _cmd_census(args) -> int:
 def _cmd_density(args) -> int:
     from . import analytics
 
-    q = _load_or_build(args)
+    q = _index(args, bits=False)
     rows = analytics.density_table(q, args.checkpoints)
     payload = {"target": analytics.DENSITY_TARGET,
                "rows": [{"n": r.n, "sp_count": r.sp_count, "ratio": r.ratio,
@@ -552,242 +529,20 @@ def _cmd_zeta(args) -> int:
     return EXIT_OK
 
 
-# -- verification suites --------------------------------------------------
-
-
-def _check(name: str, ok: bool, detail: str) -> dict:
-    return {"name": name, "ok": bool(ok), "detail": detail}
-
-
-def _suite_axioms(args, q):
-    import numpy as np
-
-    rank = args.rank if args.rank is not None else q.sp_count(
-        min(2000, q.limit))
-    table = cayley_table(q, rank)
-    m = np.asarray(table.members, dtype=np.int64)
-    t = table.entries
-    checks = []
-    member_hit = np.isin(t, m)
-    checks.append(_check(
-        "closure", bool(member_hit.all()),
-        f"all {t.size} products stay in the rank-{rank} prefix"))
-    checks.append(_check(
-        "commutativity", bool((t == t.T).all()), "table equals its transpose"))
-    checks.append(_check(
-        "identity", bool((t[0] == m).all() and (t[:, 0] == m).all()),
-        "row and column of 1 reproduce the members"))
-    checks.append(_check(
-        "self_inverse", bool((np.diag(t) == 1).all()), "diagonal is all 1s"))
-    off = ~np.eye(len(m), dtype=bool)
-    bound_ok = bool((t[off] <= np.maximum(m[:, None], m[None, :])[off]).all())
-    checks.append(_check(
-        "bound", bound_ok, "a != b implies a • b <= max(a, b)"))
-    return checks
-
-
-def _suite_lemma1(args, q):
-    checks = []
-    n_max = args.n_max
-    if n_max is None:
-        # find_gap_run(n) needs a run of length n, so the default stops at
-        # the longest run; an explicit --n-max past it is a capacity error.
-        longest = longest_gap_run(q)
-        n_max = min(25, longest.length)
-        if n_max < 25:
-            checks.append(_check(
-                "default_n_max", True,
-                f"--n-max capped at {n_max} (default 25): the longest "
-                f"SP-free run below limit {q.limit} is {longest.length} "
-                f"non-SP numbers from {longest.start}"))
-    elif n_max < 1:
-        raise DomainError(f"need --n-max >= 1, got {n_max}")
-    for n in range(1, n_max + 1):
-        # Checked by factorization, a route that shares nothing with the
-        # members the runs were read from.
-        run = find_gap_run(q, n)
-        lo, hi = run.start, run.start + run.length
-        interior_clear = not any(spcore.is_sp(v) for v in range(lo, hi))
-        bounded = (lo == 1 or spcore.is_sp(lo - 1)) and spcore.is_sp(hi)
-        ok = run.length >= n and interior_clear and bounded
-        checks.append(_check(
-            f"run_{n}", ok,
-            f"{run.length} non-SP numbers from {run.start}"))
-    return checks
-
-
-def _ap_chain_checks(args, q, *, dual_route: bool):
-    from . import theorems
-
-    if args.length is not None and args.length < 2:
-        raise DomainError(f"need --length >= 2, got {args.length}")
-    max_len = args.length if args.length is not None else 4
-    bound = args.bound if args.bound is not None else 200
-    square = args.square if args.square is not None else 2
-    checks = []
-    for n in range(2, max_len + 1):
-        primes = theorems.find_prime_ap(n, bound)
-        ap = theorems.construct_sp_ap(primes, square)
-        if args.length is None and ap.terms[-1] > q.limit:
-            # The least last term never shrinks as the length grows, so no
-            # longer default progression fits either; an explicit --length
-            # past the limit is a capacity error.
-            checks.insert(0, _check(
-                "default_length", True,
-                f"--length capped at {n - 1} (default {max_len}): the "
-                f"length-{n} progression {ap.terms} passes limit "
-                f"{q.limit}"))
-            break
-        value = theorems.verify_bullet_chain(q, ap)
-        if dual_route:
-            via = q.successor(ap.common_difference)
-            checks.append(_check(
-                f"chain_{n}", value == via,
-                f"terms {ap.terms}: chain value {value}, successor of "
-                f"difference {ap.common_difference} is {via}"))
-        else:
-            checks.append(_check(
-                f"progression_{n}", True,
-                f"primes {primes} scaled by {square}**2 give SP terms "
-                f"{ap.terms}"))
-    return checks
-
-
-def _suite_lemma2(args, q):
-    return _ap_chain_checks(args, q, dual_route=False)
-
-
-def _suite_theorem2(args, q):
-    return _ap_chain_checks(args, q, dual_route=True)
-
-
-def _suite_lemma3(args, q):
-    from . import theorems
-
-    lo = args.lo if args.lo is not None else 1
-    hi = args.hi if args.hi is not None else min(10**6, q.limit // 2)
-    failures = theorems.scan_bertrand(q, lo, hi)
-    real = [n for n in failures if n >= 5]
-    small = [n for n in failures if n < 5]
-    checks = [_check(
-        "doubling", not real,
-        f"[{lo}, {hi}]: {len(real)} failures at n >= 5"
-        + (f" (first {real[0]})" if real else "")
-        + (f"; expected small-n failures {small}" if small else ""))]
-    return checks
-
-
-def _suite_lemma4(args, q):
-    from . import theorems
-
-    t_max = args.t_max if args.t_max is not None else min(10**6, q.limit // 2)
-    violation = theorems.check_adjacency(q, t_max)
-    checks = [_check(
-        "adjacency", violation is None,
-        f"t <= {t_max}: "
-        + ("no violation" if violation is None else f"violated at t={violation}"))]
-    return checks
-
-
-def _suite_theorem1(args, q):
-    checks = []
-    q_max = args.q_max
-    if q_max is None:
-        # fixed_point(b) needs a gap of width b, so the default stops at
-        # the widest gap; an explicit --q-max past it is a capacity error.
-        lo, hi = widest_gap(q)
-        q_max = min(100, hi - lo)
-        left_out = [v for v in q.prefix(q.sp_count(min(100, q.limit)))
-                    if v > q_max]
-        if left_out:
-            checks.append(_check(
-                "default_q_max", True,
-                f"--q-max capped at the widest gap {hi - lo} "
-                f"({lo} -> {hi}): members "
-                f"{', '.join(map(str, left_out))} have no fixed "
-                f"point above them below limit {q.limit}"))
-    elif q_max < 1:
-        raise DomainError(f"need --q-max >= 1, got {q_max}")
-    for b in q.prefix(q.sp_count(min(q_max, q.limit))):
-        a = fixed_point(q, b)
-        checks.append(_check(
-            f"fixed_point_{b}", lop(q, a, b) == a,
-            f"{a} • {b} = {a}"))
-    return checks
-
-
-def _suite_theorem3(args, q):
-    from . import theorems
-
-    rank = args.rank if args.rank is not None else q.sp_count(
-        min(2000, q.limit))
-    triple = theorems.search_equal_triple(q, rank)
-    if triple is None:
-        detail = f"rank {rank}: no equal-product triple"
-    else:
-        a, b, c = triple
-        detail = (f"rank {rank}: counterexample ({a}, {b}, {c}) with "
-                  f"common product {lop(q, a, b)}")
-    return [_check("no_equal_triple", triple is None, detail)]
-
-
-def _suite_theorem4(args, q):
-    from . import theorems
-
-    bound = args.max if args.max is not None else min(10**5, q.limit)
-    q._check_cover(bound)
-    lo, first = 1, q._next(2)  # walk the members to the first twin pair
-    while first is not None and first - lo > 1:
-        lo, first = first, q._next(first + 1)
-    if first is None:
-        if args.max is not None:
-            raise CapacityError(
-                f"no twin pair below limit {q.limit}; a larger limit holds one",
-                required=next(n for n in count(3)
-                              if spcore.is_sp(n - 1) and spcore.is_sp(n)))
-        return [_check(
-            "default_max", True,
-            f"no twin pair lies below limit {q.limit}, so the default "
-            f"--max {bound} has none to probe")]
-    if bound < first:
-        # No twin pair has both members <= bound, so nothing is checked.
-        raise DomainError(f"need --max >= {first}, got {bound}")
-    violation = theorems.check_twin_shift(q, bound)
-    if violation is None:
-        detail = f"twins up to {bound}: products stay equal or adjacent"
-    else:
-        a, x, product = violation
-        detail = f"twin ({a}, {a + 1}) with x={x}: products split apart"
-    return [_check("twin_shift", violation is None, detail)]
-
-
-SUITES = {
-    "axioms": _suite_axioms,
-    "lemma1": _suite_lemma1,
-    "lemma2": _suite_lemma2,
-    "lemma3": _suite_lemma3,
-    "lemma4": _suite_lemma4,
-    "theorem1": _suite_theorem1,
-    "theorem2": _suite_theorem2,
-    "theorem3": _suite_theorem3,
-    "theorem4": _suite_theorem4,
-}
-
-
 def _cmd_verify(args) -> int:
-    names = list(SUITES) if args.suite == "all" else [args.suite]
-    q = _load_or_build(args)
-    suites_out = []
-    all_ok = True
-    for name in names:
-        checks = SUITES[name](args, q)
-        ok = all(c["ok"] for c in checks)
-        all_ok = all_ok and ok
-        suites_out.append({"suite": name, "ok": ok, "checks": checks})
-    payload = {"limit": q.limit, "ok": all_ok, "suites": suites_out}
+    from . import verify
+
+    names = list(verify.SUITES) if args.suite == "all" else [args.suite]
+    q = _index(args, bits=False)
+    suites = verify.run(
+        q, names, rank=args.rank, n_max=args.n_max, length=args.length,
+        bound=args.bound, square=args.square, lo=args.lo, hi=args.hi,
+        t_max=args.t_max, q_max=args.q_max, max=args.max)
+    all_ok = all(s["ok"] for s in suites)
+    payload = {"limit": q.limit, "ok": all_ok, "suites": suites}
     plain = []
     csv_rows = [["suite", "check", "ok", "detail"]]
-    for s in suites_out:
+    for s in suites:
         for c in s["checks"]:
             status = "ok" if c["ok"] else "FAIL"
             plain.append(f"[{status}] {s['suite']}.{c['name']}: {c['detail']}")

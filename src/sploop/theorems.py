@@ -15,7 +15,8 @@ a gap at least a wide leaves: the scan reads the record gaps behind
 ``first_gap``. N(t) and N(t+1) are more than one step of Q apart only
 where t + 1 is listed twice, so adjacency and the twin shift (adjacency at
 t = a - x) read the index's repeated values, ``_repeats``.
-``tests/_oracles.py`` keeps the per-integer scans these replace.
+``tests/_oracles.py`` keeps the per-integer scans these replace. Only
+``search_equal_triple`` imports numpy, when called.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ from __future__ import annotations
 import gc
 import math
 from itertools import repeat
-
-import numpy as np
 
 from . import spcore
 from .errors import (
@@ -195,6 +194,8 @@ def search_equal_triple(index: QIndex, r: int) -> tuple[int, int, int] | None:
     triples. Row i costs as many array passes as its longest run, and no
     r x r table is made.
     """
+    import numpy as np
+
     if r < 0:
         raise DomainError(f"need rank r >= 0, got {r}")
     if r > TRIPLE_RANK_BUDGET:

@@ -761,6 +761,33 @@ class TestVerifySuites:
                               env={**os.environ, "PYTHONPATH": src})
         assert proc.returncode == 0, proc.stderr
 
+    def test_only_verify_imports_the_suites_and_ap_find_and_zeta_no_numpy(
+            self, tmp_path):
+        cache = str(tmp_path / "q.spq")
+        assert run("--limit", "1000", "build", "--out", cache)[0] == 0
+        src = os.path.dirname(os.path.dirname(sploop.__file__))
+        script = (
+            "import contextlib, io, json, sys, sploop.cli\n"
+            "rows = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = sploop.cli.dispatch(argv)\n"
+            "    rows.append([code, sorted({'numpy', 'sploop.verify'}\n"
+            "                              & set(sys.modules))])\n"
+            "print(json.dumps(rows))\n")
+        argvs = [["--limit", "1000", "--cache", cache, "succ", "24"],
+                 ["ap", "find", "--length", "3", "--bound", "100"],
+                 ["ap", "find", "--length", "4", "--bound", "200", "--square", "2"],
+                 ["zeta", "--a", "0.5"],
+                 ["--limit", "1000", "--cache", cache, "verify", "--suite", "lemma4"]]
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(argvs)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [[0, []]] * 4 + [
+            [0, ["numpy", "sploop.verify"]]]
+
     def test_verify_all_never_builds_the_flags(self, monkeypatch):
         def built(_sieve):
             raise AssertionError("the flags were built")

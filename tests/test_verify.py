@@ -1,0 +1,109 @@
+"""The verify suites as library functions, against the CLI that renders
+them: ``verify.run`` on a built Q gives the ``suites`` field of
+``sploop verify --format json``, and refuses where the CLI exits 2 or 3."""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+from functools import lru_cache
+
+import pytest
+
+from sploop import CapacityError, NotFoundError, SearchBudgetError, SploopError
+from sploop import build_sieve, cli, verify
+
+FLAGS = {"rank": "--rank", "n_max": "--n-max", "length": "--length",
+         "bound": "--bound", "square": "--square", "lo": "--from", "hi": "--to",
+         "t_max": "--t-max", "q_max": "--q-max", "max": "--max"}
+
+EXPLICIT = {
+    "axioms": {"rank": 5},
+    "lemma1": {"n_max": 3},
+    "lemma2": {"length": 3, "bound": 100, "square": 3},
+    "lemma3": {"lo": 2, "hi": 4},
+    "lemma4": {"t_max": 3},
+    "theorem1": {"q_max": 12},
+    "theorem2": {"length": 2, "square": 2},
+    "theorem3": {"rank": 7},
+    "theorem4": {"max": 28},
+}
+
+LIMITS = (8, 9, 27, 28, 117, 1000)
+
+
+@lru_cache(maxsize=None)
+def built(limit: int):
+    return build_sieve(limit)
+
+
+def dispatch(*argv: str) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.dispatch(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_run_matches_the_cli(limit: int, names: list[str], options: dict):
+    suite = names[0] if len(names) == 1 else "all"
+    argv = ["--limit", str(limit), "verify", "--suite", suite]
+    for key, value in options.items():
+        argv += [FLAGS[key], str(value)]
+    code, out, err = dispatch(*argv)
+    if code in (0, 1):
+        suites = verify.run(built(limit), names, **options)
+        assert suites == json.loads(out)["suites"]
+        assert code == (0 if all(s["ok"] for s in suites) else 1)
+    else:
+        with pytest.raises(SploopError) as info:
+            verify.run(built(limit), names, **options)
+        capacity = (CapacityError, NotFoundError, SearchBudgetError)
+        assert code == (3 if isinstance(info.value, capacity) else 2)
+        assert str(info.value) in err
+
+
+@pytest.mark.parametrize("explicit", [False, True], ids=["default", "explicit"])
+@pytest.mark.parametrize("name", list(verify.SUITES))
+@pytest.mark.parametrize("limit", LIMITS)
+def test_each_suite_is_what_the_cli_prints(limit, name, explicit):
+    assert_run_matches_the_cli(limit, [name], EXPLICIT[name] if explicit else {})
+
+
+@pytest.mark.parametrize("limit", LIMITS)
+def test_all_suites_with_every_option(limit):
+    options = {k: v for opts in EXPLICIT.values() for k, v in opts.items()}
+    assert_run_matches_the_cli(limit, list(verify.SUITES), options)
+
+
+def test_suite_names_are_the_cli_choices():
+    assert cli.SUITE_NAMES == tuple(verify.SUITES)
+
+
+@pytest.mark.parametrize("name", list(verify.SUITES))
+def test_a_suite_ignores_the_options_it_does_not_read(name):
+    q = built(1000)
+    unread = {k: v for opts in EXPLICIT.values() for k, v in opts.items()
+              if k not in EXPLICIT[name]}
+    assert verify.SUITES[name](q, **unread) == verify.SUITES[name](q)
+
+
+@pytest.mark.parametrize("argv", [
+    ("--suite", "lemma1", "--rank", "5"),
+    ("--suite", "axioms", "--t-max", "3"),
+    ("--suite", "theorem4", "--from", "2", "--n-max", "0"),
+], ids=" ".join)
+@pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+def test_an_unread_option_leaves_stdout_as_it_is(argv, fmt):
+    common = ("--limit", "1000", "--format", fmt, "verify")
+    assert dispatch(*common, *argv) == dispatch(*common, *argv[:2])
+
+
+def test_lemma3_names_the_default_to_it_refused():
+    argv = ("--limit", "100", "verify", "--suite", "lemma3", "--from", "60")
+    assert dispatch(*argv) == (2, "", "error: need --from <= the default --to "
+                               "50 (min(10**6, limit // 2)), got 60\n")
+    # An explicit --to is named as given.
+    assert dispatch(*argv, "--to", "50") == (
+        2, "", "error: need hi >= lo, got [60, 50]\n")
+    assert dispatch(*argv[:-1], "50")[0] == 0

@@ -35,6 +35,7 @@ SIEVE = "src/sploop/sieve.py"
 LOOP = "src/sploop/loop_algebra.py"
 THEOREMS = "src/sploop/theorems.py"
 CLI = "src/sploop/cli.py"
+VERIFY = "src/sploop/verify.py"
 RECORD = "src/sploop/record.py"
 ANALYTICS = "src/sploop/analytics.py"
 
@@ -113,7 +114,7 @@ MUTANTS = [
     ("theorems: gap_pairs without _check_gap", THEOREMS,
      "    index._check_gap(g, limit)\n", "",
      [CACHEFILE + "test_padding_bits_are_not_members"]),
-    ("cli: theorem4 without _check_cover", CLI,
+    ("verify: theorem4 without _check_cover", VERIFY,
      "    q._check_cover(bound)\n    lo, first", "    lo, first",
      [CLI_TESTS + "TestVerifySuites::test_theorem4_max_past_a_limit_without_a_twin"]),
     ("loop: _check_member without _check_cover", LOOP,
@@ -135,10 +136,10 @@ MUTANTS = [
     ("cli: list takes a negative --max", CLI,
      "rank = q.sp_count(max(bound, 0))", "rank = q.sp_count(bound)",
      [CLI_TESTS + "TestQueries::test_list_max_at_the_edges"]),
-    ("cli: theorem1 q-max not clamped to the limit", CLI,
+    ("verify: theorem1 q-max not clamped to the limit", VERIFY,
      "q.sp_count(min(q_max, q.limit))", "q.sp_count(q_max)",
      [CLI_TESTS + "TestVerifySuites::test_theorem1_q_max_past_the_limit_takes_every_member"]),
-    ("cli: theorem1 default not clamped to the limit", CLI,
+    ("verify: theorem1 default not clamped to the limit", VERIFY,
      "q.sp_count(min(100, q.limit))", "q.sp_count(100)",
      [CLI_TESTS + "TestVerifySuites::test_all_below_the_default_run_length[50]"]),
     # Earlier fast paths: the wheel sieve, the equal-triple search and the
@@ -158,7 +159,7 @@ MUTANTS = [
      "for k in range(math.isqrt(limit // 2), 1, -1):",
      [CACHEFILE + "test_pure_payload_keeps_members_on_several_strides"]),
     ("cli: crossover with <", CLI,
-     "pure=args.limit <= PURE_BUILD_MAX", "pure=args.limit < PURE_BUILD_MAX",
+     "bits and args.limit <= PURE_BUILD_MAX", "bits and args.limit < PURE_BUILD_MAX",
      [CLI_TESTS + "TestCachedPointRoute::test_the_crossover_picks_the_route"]),
     # Records as tuples, record gaps found block by block, and the digit
     # census without np.bincount.
@@ -191,11 +192,23 @@ MUTANTS = [
     ("qindex: _repeats reads gaps of 1", SIEVE,
      "[self.gaps == 0]", "[self.gaps == 1]",
      [GAP_TESTS + "test_a_value_listed_three_times"]),
-    ("cli: theorem4 twin walk stops one member early", CLI,
+    ("verify: theorem4 twin walk stops one member early", VERIFY,
      "while first is not None and first - lo > 1:",
      "while first is not None and q._next(first + 1) - first > 1:",
      [CLI_TESTS + "TestVerifySuites::"
       "test_theorem4_max_below_the_first_twin_is_a_usage_error"]),
+    # Q from one acquisition function, and the suites' options passed on.
+    ("cli: the acquisition saves over a fresh cache", CLI,
+     "if args.cache and not fresh:", "if args.cache:",
+     [CLI_TESTS + "TestDeterminismAndCache::test_cache_trimmed_for_smaller_limit"]),
+    ("cli: a numpy command takes the bits route", CLI,
+     "if fresh and bits:", "if fresh:",
+     [CLI_TESTS + "TestDeterminismAndCache::"
+      "test_verbose_numpy_command_on_a_cache_notes_the_build[1000]"]),
+    ("cli: _cmd_verify drops one option", CLI,
+     "t_max=args.t_max, q_max=args.q_max,", "t_max=args.t_max,",
+     [CLI_TESTS + "TestVerifySuites::"
+      "test_theorem1_q_max_past_the_limit_takes_every_member"]),
 ]
 
 
