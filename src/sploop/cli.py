@@ -466,6 +466,10 @@ def _cmd_bertrand(args) -> int:
     from . import theorems
 
     q = _index(args, bits=False)
+    if args.lo < 1:
+        raise DomainError(f"need --from >= 1, got {args.lo}")
+    if args.lo > args.hi:
+        raise DomainError(f"need --from <= --to {args.hi}, got {args.lo}")
     failures = theorems.scan_bertrand(q, args.lo, args.hi)
     real = [n for n in failures if n >= 5]
     payload = {"from": args.lo, "to": args.hi, "failures": failures,

@@ -4,6 +4,13 @@ A square-prime (SP) number is n = p * k**2 with p prime and k >= 2.
 Equivalently, n has exactly one prime factor with odd exponent and is not
 itself prime. This module is the slow, trusted route; bulk generation lives
 in the sieve module.
+
+``sp_decompose`` splits n below 2000**3 = 8e9 by trial division to the
+cube root: once every prime below p is divided out and p**3 exceeds the
+cofactor, the cofactor is 1, a prime, a prime square or a product of two
+distinct primes, and one primality test and one ``isqrt`` tell which
+(Crandall and Pomerance, *Prime Numbers*, 2005, section 3). From 8e9 up it
+reads the exponents off ``factorize``, which ends in Pollard-Brent.
 """
 
 from __future__ import annotations
@@ -13,7 +20,11 @@ import math
 from .errors import DomainError
 from .record import Record
 
-# Witness set proven deterministic for every n < 2**64.
+# Witness sets proven deterministic: the first below 4,759,123,141, the
+# smallest strong pseudoprime to bases 2, 7 and 61 (Jaeschke, Math. Comp.
+# 61 (1993)), the second for every n < 2**64.
+_MR_SMALL_MAX = 4_759_123_141
+_MR_SMALL_BASES = (2, 7, 61)
 _MR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
 _SMALL_PRIMES = (
@@ -21,12 +32,20 @@ _SMALL_PRIMES = (
     67, 71, 73, 79, 83, 89, 97,
 )
 
+# The 303 primes below 2000, each with its cube: trial division by them
+# splits every n < 2000**3. Sieving out the multiples of 2 to 44 leaves the
+# primes, as 45**2 > 2000; it takes well under a millisecond at import.
+_SPLIT_PRIMES = tuple((p, p**3) for p in sorted(set(range(2, 2000)).difference(
+    *(range(q * q, 2000, q) for q in range(2, 45)))))
+_SPLIT_MAX = 2000**3
+
 
 def is_prime(n: int) -> bool:
     """Deterministic primality test for 0 <= n < 2**64.
 
-    Strong-pseudoprime test against a fixed witness set; exact over the
-    full 64-bit range, no probabilistic answers.
+    Strong-pseudoprime test against a fixed witness set, three bases below
+    4,759,123,141 and seven above; exact over the full 64-bit range, no
+    probabilistic answers.
     """
     if n < 0 or n >= 1 << 64:
         raise DomainError(f"primality is certified only for 0 <= n < 2**64, got {n}")
@@ -40,7 +59,7 @@ def is_prime(n: int) -> bool:
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for a in _MR_BASES:
+    for a in _MR_SMALL_BASES if n < _MR_SMALL_MAX else _MR_BASES:
         a %= n
         if a == 0:
             continue
@@ -123,23 +142,57 @@ class SpDecomposition(Record):
     __slots__ = ("n", "p", "k")
 
 
+def _lone_odd_prime(n: int) -> int | None:
+    """The prime with odd exponent in 1 < n < 2000**3, or None unless there
+    is exactly one.
+
+    Divides out each prime p below 2000 while p**3 <= the cofactor m. When
+    that stops, every prime factor of m is at least p and m < p**3 (past
+    the table, m has no factor below 2003 and m < 2003**3), so m is 1, a
+    prime, a prime square or a product of two distinct primes.
+    """
+    odd = None
+    m = n
+    for p, cube in _SPLIT_PRIMES:
+        if cube > m:
+            break
+        if m % p == 0:
+            m //= p
+            e = 1
+            while m % p == 0:
+                m //= p
+                e += 1
+            if e & 1:
+                if odd is not None:
+                    return None
+                odd = p
+    r = math.isqrt(m)
+    if r * r == m:
+        return odd
+    if odd is None and is_prime(m):
+        return m
+    return None
+
+
 def sp_decompose(n: int) -> SpDecomposition | None:
     """Return the unique prime-times-square decomposition, or None.
 
     Uses the exactly-one-odd-exponent characterization: if a single prime p
     carries an odd exponent, then n = p * k**2 with k = sqrt(n / p), and
-    k >= 2 exactly when n is not the prime p itself.
+    k >= 2 exactly when n is not the prime p itself. Below 2000**3 = 8e9
+    the odd primes come from trial division to the cube root; from there
+    on, from ``factorize``.
     """
     if n < 0:
         raise DomainError(f"SP membership is defined for n >= 0, got {n}")
     if n <= 1:
         return None
-    factors = factorize(n)
-    odd = [p for p, e in factors.items() if e % 2 == 1]
-    if len(odd) != 1:
-        return None
-    p = odd[0]
-    if n == p:
+    if n < _SPLIT_MAX:
+        p = _lone_odd_prime(n)
+    else:
+        odd = [p for p, e in factorize(n).items() if e % 2 == 1]
+        p = odd[0] if len(odd) == 1 else None
+    if p is None or p == n:
         return None
     k = math.isqrt(n // p)
     return SpDecomposition(n=n, p=p, k=k)

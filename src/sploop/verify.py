@@ -127,11 +127,15 @@ theorem2 = partial(_progressions, dual_route=True)
 
 def lemma3(q, *, lo=None, hi=None, **_):
     lo = lo if lo is not None else 1
+    if lo < 1:
+        raise DomainError(f"need --from >= 1, got {lo}")
     if hi is None:
         hi = min(10**6, q.limit // 2)
         if lo > hi:
             raise DomainError(f"need --from <= the default --to {hi} "
                               f"(min(10**6, limit // 2)), got {lo}")
+    elif lo > hi:
+        raise DomainError(f"need --from <= --to {hi}, got {lo}")
     failures = theorems.scan_bertrand(q, lo, hi)
     real = [n for n in failures if n >= 5]
     small = [n for n in failures if n < 5]

@@ -1,7 +1,10 @@
 """Slow, independent reference implementations used to cross-check the
 package. Nothing here imports from sploop: trial division, a plain
 Eratosthenes sieve, the p * k**2 construction and direct summation only,
-so a bug in the fast paths cannot hide in its own oracle.
+so a bug in the fast paths cannot hide in its own oracle. The one
+exception, ``sp_decompose_by_factorize``, reads the exponents off
+``sploop.factorize`` (Pollard-Brent), a route that does not pass through
+the cube-root split that ``sp_decompose`` takes below 8e9.
 """
 
 from __future__ import annotations
@@ -29,6 +32,23 @@ def is_sp_slow(n: int) -> bool:
         if n % kk == 0 and is_prime_slow(n // kk):
             return True
     return False
+
+
+def sp_decompose_by_factorize(n: int):
+    """SP decomposition by the exactly-one-odd-exponent rule over a full
+    ``sploop.factorize``, as ``sp_decompose`` computed it at every n before
+    the cube-root split."""
+    from sploop import DomainError, SpDecomposition, factorize
+
+    if n < 0:
+        raise DomainError(f"SP membership is defined for n >= 0, got {n}")
+    if n <= 1:
+        return None
+    odd = [p for p, e in factorize(n).items() if e % 2 == 1]
+    if len(odd) != 1 or odd[0] == n:
+        return None
+    p = odd[0]
+    return SpDecomposition(n=n, p=p, k=math.isqrt(n // p))
 
 
 def sp_list_slow(limit: int) -> list[int]:

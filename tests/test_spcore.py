@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from sploop import DomainError, SpDecomposition, factorize, is_prime, is_sp, sp_decompose
 
-from _oracles import is_prime_slow, is_sp_slow
+from _oracles import is_prime_slow, is_sp_slow, sp_decompose_by_factorize
 
 FIRST_25 = [8, 12, 18, 20, 27, 28, 32, 44, 45, 48, 50, 52, 63, 68,
             72, 75, 76, 80, 92, 98, 99, 108, 112, 116, 117]
@@ -30,6 +31,20 @@ class TestIsPrime:
 
     def test_large_composite(self):
         assert not is_prime((2**31 - 1) * (2**13 - 1))
+
+    def test_strong_pseudoprimes_at_the_base_set_bounds(self):
+        # 4759123141 is the least strong pseudoprime to bases 2, 7 and 61,
+        # the witnesses below it; 2152302898747 to bases 2, 3, 5, 7 and 11;
+        # 314821 and 2269093 to bases 2 and 7.
+        for n in (4759123141, 2152302898747, 314821, 2269093):
+            assert not is_prime(n), n
+            assert not is_prime_slow(n), n
+
+    def test_matches_oracle_around_the_base_set_bound(self):
+        rng = random.Random(4759123141)
+        draws = [rng.randrange(4_700_000_000, 4_800_000_000) | 1 for _ in range(150)]
+        for n in draws + [4759123141 + d for d in range(-40, 41, 2)]:
+            assert is_prime(n) == is_prime_slow(n), n
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -105,3 +120,44 @@ class TestSpDecompose:
     def test_constructed_products_are_sp(self, p, k):
         if is_prime(p):
             assert is_sp(p * k * k)
+
+
+def _designed_cases() -> list[int]:
+    # Factors on both sides of 2000, the end of the trial-division table.
+    near = [p for p in range(1990, 2100) if is_prime_slow(p)]
+    cases = []
+    for p in near:
+        cases += [p * p, p**3, 7 * p * p, 11 * p**3, 3 * p]
+        for q in near:
+            cases += [p * q, p * q * q, 5 * p * q * q]
+    big = 4294967291  # the largest prime below 2**32
+    return cases + [big * big, 3 * big * big, 2**64 - 59, 561, 41041,
+                    825265, 321197185, 3215031751, 3 * 2**32]
+
+
+class TestSplitRoute:
+    """``sp_decompose`` splits n < 8e9 by trial division to the cube root;
+    it must answer as the full factorization does, and past 2**64 refuse as
+    before."""
+
+    def test_every_n_below_2e5(self):
+        for n in range(200_000):
+            assert sp_decompose(n) == sp_decompose_by_factorize(n), n
+
+    @pytest.mark.parametrize("decade", range(1, 20))
+    def test_seeded_draws_in_each_decade(self, decade):
+        rng = random.Random(decade)
+        hi = min(10 ** (decade + 1), 2**64) - 1
+        for _ in range(300):
+            n = rng.randint(10**decade, hi)
+            assert sp_decompose(n) == sp_decompose_by_factorize(n), n
+
+    def test_designed_cases(self):
+        for n in _designed_cases():
+            assert sp_decompose(n) == sp_decompose_by_factorize(n), n
+
+    def test_past_2_64_as_before(self):
+        assert not is_sp(2**64)
+        assert is_sp(3 * 2**64)
+        with pytest.raises(DomainError):
+            is_sp(2**64 + 1)

@@ -105,5 +105,15 @@ def test_lemma3_names_the_default_to_it_refused():
                                "50 (min(10**6, limit // 2)), got 60\n")
     # An explicit --to is named as given.
     assert dispatch(*argv, "--to", "50") == (
-        2, "", "error: need hi >= lo, got [60, 50]\n")
+        2, "", "error: need --from <= --to 50, got 60\n")
     assert dispatch(*argv[:-1], "50")[0] == 0
+
+
+@pytest.mark.parametrize("command", [("bertrand",), ("verify", "--suite", "lemma3")])
+def test_bertrand_refusals_name_from_and_to(command):
+    argv = ("--limit", "100", *command)
+    assert dispatch(*argv, "--from", "60", "--to", "50") == (
+        2, "", "error: need --from <= --to 50, got 60\n")
+    assert dispatch(*argv, "--from", "0", "--to", "50") == (
+        2, "", "error: need --from >= 1, got 0\n")
+    assert dispatch(*argv, "--from", "50", "--to", "50")[0] == 0

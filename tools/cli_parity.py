@@ -45,6 +45,7 @@ VERIFY = [["--suite", name] for name in (
     ["--suite", "lemma3", "--from", "2", "--to", "4"],
     ["--suite", "lemma3", "--from", "60"],
     ["--suite", "lemma3", "--from", "0"],
+    ["--suite", "lemma3", "--from", "3", "--to", "2"],
     ["--suite", "lemma3", "--to", "1000000"],
     ["--suite", "lemma4", "--t-max", "3"],
     ["--suite", "lemma4", "--t-max", "990"],
@@ -68,6 +69,8 @@ CACHED = [["op", "164", "188"], ["succ", "24"], ["pred", "13"],
           ["build"]]
 
 OTHERS = [["bertrand", "--from", "1", "--to", "4"],
+          ["bertrand", "--from", "0", "--to", "4"],
+          ["bertrand", "--from", "3", "--to", "2"],
           ["triples", "--rank", "10"],
           ["ap", "find", "--length", "3", "--bound", "100"],
           ["ap", "find", "--length", "4", "--bound", "200", "--square", "2"],

@@ -29,6 +29,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+SPCORE = "src/sploop/spcore.py"
 FRONT = "src/sploop/front.py"
 QBITS = "src/sploop/cachefile.py"
 SIEVE = "src/sploop/sieve.py"
@@ -40,6 +41,7 @@ RECORD = "src/sploop/record.py"
 ANALYTICS = "src/sploop/analytics.py"
 
 ACCEPTANCE = "tests/test_acceptance.py::test_criterion_0"
+SPCORE_TESTS = "tests/test_spcore.py::"
 CACHEFILE = "tests/test_cachefile.py::"
 CLI_TESTS = "tests/test_cli.py::"
 LOOP_TESTS = "tests/test_loop.py::"
@@ -49,6 +51,22 @@ GAP_TESTS = "tests/test_gap_kernels.py::"
 
 # (name, file, old text, new text, test node ids that must fail)
 MUTANTS = [
+    # The trusted route: trial division to the cube root below 8e9.
+    ("spcore: cube stop with >=", SPCORE,
+     "if cube > m:", "if cube >= m:",
+     [SPCORE_TESTS + "TestSpDecompose::test_first_25"]),
+    ("spcore: cofactor-is-prime case dropped", SPCORE,
+     "    if odd is None and is_prime(m):\n        return m\n", "",
+     [SPCORE_TESTS + "TestSpDecompose::test_first_25"]),
+    ("spcore: cofactor-is-a-square case dropped", SPCORE,
+     "if r * r == m:\n        return odd", "if m == 1:\n        return odd",
+     [SPCORE_TESTS + "TestSpDecompose::test_first_25"]),
+    ("spcore: the split past 8e9", SPCORE,
+     "if n < _SPLIT_MAX:", "if n < 1 << 64:",
+     [SPCORE_TESTS + "TestSplitRoute::test_designed_cases"]),
+    ("spcore: three witnesses at their bound", SPCORE,
+     "if n < _MR_SMALL_MAX else", "if n <= _MR_SMALL_MAX else",
+     [SPCORE_TESTS + "TestIsPrime::test_strong_pseudoprimes_at_the_base_set_bounds"]),
     # The query front and the primitives of the two indexes.
     ("front: successor message", FRONT,
      "rebuild with a larger limit", "rebuild with a higher limit",
