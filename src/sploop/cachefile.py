@@ -7,10 +7,11 @@ SP; padding bits past the limit are not members), then the payload's
 CRC-32. ``read`` and ``write`` are the only code that knows the header and
 the checks; ``SpSieve`` packs the payload with numpy (its load checks the
 file, then builds), and ``build_payload`` builds it from byte slices.
-``QBits``, the only reader of the bits, answers every cached CLI command
+``QBits``, the only reader of the bits, answers the CLI's bits commands
 from them without importing numpy: the point questions, the gap query
-behind fixed points and SP-free runs, the pairs at a gap, and the rank
-prefix of an operation table. Their checks and errors are the ``front``
+behind fixed points, SP-free runs and the doubling scan, the pairs at a
+gap, and the rank prefix of an operation table, of ``verify``'s axioms
+and of the equal-triple search. Their checks and errors are the ``front``
 module's, shared with ``QIndex``; ``QBits`` reads the primitives that
 module lists off the bits.
 """
@@ -117,8 +118,8 @@ def build_payload(limit: int) -> bytes:
 
 
 class QBits(QFront):
-    """Q up to limit, read off a v1 payload's bits: the CLI's cached
-    questions without numpy. The queries and their checks are the
+    """Q up to limit, read off a v1 payload's bits: the CLI's bits
+    commands without numpy. The queries and their checks are the
     ``front`` module's, shared with ``QIndex``, so each gives the same
     answer, error type, message and ``required`` as on a ``QIndex`` of
     that limit; this class supplies the primitives, read off the bits.
@@ -128,13 +129,14 @@ class QBits(QFront):
     built at a larger limit is cut to this limit.
     """
 
-    __slots__ = ("_bits",)
+    __slots__ = ("_bits", "_records")
 
     def __init__(self, limit: int, payload):
         bits = bytearray(payload[: payload_size(limit)])
         bits[-1] &= (2 << (limit & 7)) - 1  # no member past the limit
         self.limit = limit
         self._bits = bits
+        self._records = []  # the record gaps behind ``first_gap``
 
     def save(self, path) -> None:
         """Write the v1 cache file of Q up to this limit."""
@@ -202,21 +204,47 @@ class QBits(QFront):
         """The first consecutive members (lo, hi) of Q with hi - lo >= w,
         1 included, or None when no gap is that wide.
 
+        That gap is a record gap: it is wider than every gap before it.
+        The records are found in order, each from the upper end of the
+        last one, and kept, as ``QIndex._record_gaps`` keeps its own, so a
+        later call walks on from the widest record found so far and never
+        again from 1. ``None`` closes the list once the bits hold no wider
+        gap.
+        """
+        records = self._records
+        for gap in records:
+            if gap is None or gap[1] - gap[0] >= w:
+                return gap
+        lo, hi = records[-1] if records else (1, 1)
+        while (gap := self._gap_from(hi, hi - lo + 1)) is not None:
+            records.append(gap)
+            lo, hi = gap
+            if hi - lo >= w:
+                return gap
+        records.append(None)
+        return None
+
+    def _gap_from(self, start: int, w: int) -> tuple[int, int] | None:
+        """The first consecutive members (lo, hi) with start <= lo and
+        hi - lo >= w, for a member start, or None when there is none.
+
         The w - 1 numbers strictly between such lo and hi are not SP, so
         they cover at least k = (w - 8) // 8 whole zero bytes. For k >= 1,
         ``find`` goes from one run of k zero bytes to the next, and the
         gap around each is measured exactly; narrower gaps are found by
-        walking the members from 1.
+        walking the members from start.
         """
         k = (w - 8) // 8
         if k < 1:
-            lo = 1
+            lo = start
             while (hi := self._next(lo + 1)) is not None:
                 if hi - lo >= w:
                     return lo, hi
                 lo = hi
             return None
-        bits, zeros, at = self._bits, bytes(k), 1
+        # Byte start >> 3 holds start, so the runs of zero bytes above
+        # start begin past it.
+        bits, zeros, at = self._bits, bytes(k), (start >> 3) + 1
         while (j := bits.find(zeros, at)) >= 0:
             hi = self._next(8 * (j + k))
             if hi is None:
@@ -233,3 +261,7 @@ class QBits(QFront):
     def _pairs(self, g: int, limit: int) -> list[tuple[int, int]]:
         sps = takewhile(limit.__ge__, self._sps())
         return [(lo, hi) for lo, hi in pairwise(sps) if hi - lo == g]
+
+    def _repeats(self) -> list[int]:
+        """Values listed more than once: none, as a bit lists each once."""
+        return []

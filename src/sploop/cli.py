@@ -15,12 +15,14 @@ requested limit, and left as it is; otherwise Q is built and saved there.
 Results with and without a cache are identical.
 
 Every handler takes Q from ``_index``. The cached commands op, succ,
-pred, count, nth, fixed-point, gap-run, pairs and table, and build, ask it
-for bits: the cache file's (``cachefile.QBits``) when it exists and covers
-the limit, else bits built without numpy (``cachefile.build_payload``) up
-to ``PURE_BUILD_MAX``. Above it, and for every other command, Q is built as
-a numpy ``SpSieve``; the numpy-using modules are imported inside the
-functions that use them, and ``verify`` imports the suites of ``verify.py``.
+pred, count, nth, fixed-point, gap-run, pairs and table, the read-only
+checks verify, bertrand, triples and ap verify, and build, ask it for
+bits: the cache file's (``cachefile.QBits``) when it exists and covers the
+limit, else bits built without numpy (``cachefile.build_payload``) up to
+``PURE_BUILD_MAX``. Above it, and for list, census, density and nonassoc
+at every limit, Q is built as a numpy ``SpSieve``; the numpy-using
+modules are imported inside the functions that use them, and ``verify``
+imports the suites of ``verify.py``, which need no numpy.
 
 The outputs that grow with the result (list, pairs and table) reach
 ``_emit`` as generators, so only the chosen format is rendered.
@@ -59,7 +61,7 @@ from .loop_algebra import (
 )
 
 DEFAULT_LIMIT = 10_000_000
-# The largest limit at which the cached commands build Q without numpy: that
+# The largest limit at which the bits commands build Q without numpy: that
 # build costs ~10 ns a number, numpy's ~1.3 ns plus its import (they met
 # between 1.5e7 and 1.75e7 on a 2-core x86 host).
 PURE_BUILD_MAX = 15_000_000
@@ -428,7 +430,7 @@ def _cmd_ap_verify(args) -> int:
     except ValidationError as exc:
         print(f"falsifying input: {exc}", file=sys.stderr)
         return EXIT_FINDING
-    q = _index(args, bits=False)
+    q = _index(args)
     value = theorems.verify_bullet_chain(q, ap)
     via_difference = q.successor(ap.common_difference)
     verified = value == via_difference
@@ -447,7 +449,7 @@ def _cmd_ap_verify(args) -> int:
 def _cmd_triples(args) -> int:
     from . import theorems
 
-    q = _index(args, bits=False)
+    q = _index(args)
     triple = theorems.search_equal_triple(q, args.rank)
     payload = {"rank": args.rank,
                "triple": list(triple) if triple else None}
@@ -465,7 +467,7 @@ def _cmd_triples(args) -> int:
 def _cmd_bertrand(args) -> int:
     from . import theorems
 
-    q = _index(args, bits=False)
+    q = _index(args)
     if args.lo < 1:
         raise DomainError(f"need --from >= 1, got {args.lo}")
     if args.lo > args.hi:
@@ -537,7 +539,7 @@ def _cmd_verify(args) -> int:
     from . import verify
 
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
-    q = _index(args, bits=False)
+    q = _index(args)
     suites = verify.run(
         q, names, rank=args.rank, n_max=args.n_max, length=args.length,
         bound=args.bound, square=args.square, lo=args.lo, hi=args.hi,

@@ -25,7 +25,7 @@ member, and the prefix's own gaps give it: N(x) is the upper member of the
 gap that holds x. ``_successors`` lists it in one merge pass over
 consecutive members, without numpy and without the index. Only
 ``cayley_table`` and ``find_nonassoc_witness`` import numpy, when called;
-``cayley_rows`` is the table without it.
+``cayley_rows`` is the table without it, which ``verify.axioms`` checks.
 """
 
 from __future__ import annotations

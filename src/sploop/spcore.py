@@ -56,6 +56,12 @@ def is_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
+    return _strong_probable_prime(n)
+
+
+def _strong_probable_prime(n: int) -> bool:
+    """``is_prime`` past its trial divisions: the strong-pseudoprime test
+    for an n < 2**64 that is odd or below 8."""
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
@@ -169,7 +175,7 @@ def _lone_odd_prime(n: int) -> int | None:
     r = math.isqrt(m)
     if r * r == m:
         return odd
-    if odd is None and is_prime(m):
+    if odd is None and _strong_probable_prime(m):
         return m
     return None
 

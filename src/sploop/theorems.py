@@ -15,15 +15,19 @@ a gap at least a wide leaves: the scan reads the record gaps behind
 ``first_gap``. N(t) and N(t+1) are more than one step of Q apart only
 where t + 1 is listed twice, so adjacency and the twin shift (adjacency at
 t = a - x) read the index's repeated values, ``_repeats``.
-``tests/_oracles.py`` keeps the per-integer scans these replace. Only
-``search_equal_triple`` imports numpy, when called.
+``tests/_oracles.py`` keeps the per-integer scans these replace. Nothing
+here imports numpy, so every check runs on a ``QIndex`` and on a
+``cachefile.QBits`` alike; only ``gap_pairs`` reads a ``QIndex``
+primitive, ``_pair_ends``.
 """
 
 from __future__ import annotations
 
 import gc
 import math
-from itertools import repeat
+from bisect import bisect_right
+from itertools import compress, count, islice, repeat
+from operator import eq
 
 from . import spcore
 from .errors import (
@@ -188,14 +192,11 @@ def search_equal_triple(index: QIndex, r: int) -> tuple[int, int, int] | None:
 
     Runs of one row suffice. With a = m_i fixed, a • m_j = N(m_j - m_i)
     never falls as j grows, so b < c with a • b = a • c lie in one run of
-    equal values of row i. So for each i, with offsets t = 1, 2, ... until
-    no run is longer than t, the candidates are the j whose row value
-    recurs at j + t, and those with m_j • m_{j+t} equal to it are
-    triples. Row i costs as many array passes as its longest run, and no
-    r x r table is made.
+    equal values of row i. So each row is walked run by run, each run's b
+    in order and, for each b, the c after it in order; the first c with
+    b • c equal to the run's value ends the search. N comes from one list
+    over the prefix's gaps, and no r x r table is made.
     """
-    import numpy as np
-
     if r < 0:
         raise DomainError(f"need rank r >= 0, got {r}")
     if r > TRIPLE_RANK_BUDGET:
@@ -203,25 +204,24 @@ def search_equal_triple(index: QIndex, r: int) -> tuple[int, int, int] | None:
             f"rank {r} exceeds the enumeration budget {TRIPLE_RANK_BUDGET}"
         )
     members = index.prefix(r)
-    m = np.asarray(members, dtype=np.int64)
-    # Every difference of two members lies in [0, m[-1]); N is gathered there.
-    succ = np.asarray(_successors(members), dtype=np.int64)
-    for i in range(len(m) - 2):
-        tail = m[i + 1 :]
-        row = succ[tail - m[i]]  # row[x] = m_i • tail[x]
-        best = None  # (x, t) of the least b = tail[x], then the least t
-        t = 1
-        while True:
-            x = np.flatnonzero(row[:-t] == row[t:])
-            if not x.size:
-                break  # no run is longer than t
-            x = x[succ[tail[x + t] - tail[x]] == row[x]]
-            if x.size and (best is None or x[0] < best[0]):
-                best = (int(x[0]), t)
-            t += 1
-        if best is not None:
-            j = i + 1 + best[0]
-            return members[i], members[j], members[j + best[1]]
+    # Every difference of two members lies in [0, members[-1]), where N is
+    # listed.
+    succ = _successors(members)
+    for i, a in enumerate(members[:-2]):
+        tail = members[i + 1 :]
+        row = [succ[v - a] for v in tail]  # row[x] = a • tail[x]
+        end = 0
+        # Each x with row[x] == row[x + 1]; the first of a run starts it.
+        for x in compress(count(), map(eq, row, islice(row, 1, None))):
+            if x < end:
+                continue
+            value = row[x]
+            end = bisect_right(row, value, x + 2)
+            run = tail[x:end]
+            for y, b in enumerate(run, 1):
+                for c in run[y:]:
+                    if succ[c - b] == value:
+                        return a, b, c
     return None
 
 

@@ -17,7 +17,7 @@ from sploop import (CapacityError, DomainError, MembershipError, QIndex,
                     SploopError, build_sieve, cayley_table, find_gap_run,
                     fixed_point, gap_pairs, lop)
 from sploop import cachefile
-from sploop.loop_algebra import cayley_rows
+from sploop.loop_algebra import cayley_rows, widest_gap
 
 from _oracles import is_prime_slow, sp_list_slow
 
@@ -167,6 +167,44 @@ def test_gap_queries_on_drawn_bits(seed):
     density = rng.choice([0.005, 0.02, 0.05, 0.2])
     assert_drawn_gaps_match(
         limit, [n for n in range(2, limit + 1) if rng.random() < density])
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_gap_queries_in_any_order_on_one_bits_view(seed):
+    # Each query finds or reuses the record gaps that the ones before it
+    # left, wide and narrow ones in turn.
+    rng = random.Random(seed)
+    limit = rng.randint(8, 3000)
+    density = rng.choice([0.005, 0.02, 0.05, 0.2])
+    members = [n for n in range(2, limit + 1) if rng.random() < density]
+    payload = bytearray(cachefile.payload_size(limit))
+    for n in members:
+        payload[n >> 3] |= 1 << (n & 7)
+    bits = cachefile.QBits(limit, payload)
+    index = QIndex(limit, np.array([1] + members, dtype=np.int64))
+    widest = int(index.gaps.max()) if members else 0
+    for w in rng.choices(range(-1, widest + 3), k=3 * widest + 10):
+        assert bits.first_gap(w) == index.first_gap(w), w
+
+
+def test_record_gaps_are_walked_once(monkeypatch):
+    bits = cachefile.QBits(10**4, cachefile.build_payload(10**4))
+    walks = []
+    gap_from = cachefile.QBits._gap_from
+
+    def counted(self, start, w):
+        walks.append(start)
+        return gap_from(self, start, w)
+
+    monkeypatch.setattr(cachefile.QBits, "_gap_from", counted)
+    assert widest_gap(bits) == (7325, 7376)
+    # One walk per record gap and one that finds no wider gap, each from
+    # the upper end of the record before it.
+    assert walks[0] == 1 and len(walks) == len(set(walks))
+    walked = len(walks)
+    for w in (0, 9, 51, 52, 30, 12):
+        bits.first_gap(w)
+    assert len(walks) == walked
 
 
 @pytest.mark.parametrize("members", [[8, 16, 31, 48], [15, 16, 39, 40]])

@@ -418,6 +418,11 @@ CACHED_COMMANDS = POINT_COMMANDS + (
     ["fixed-point", "12"], ["gap-run", "8"], ["pairs", "--gap", "1"],
     ["table", "--rank", "5"])
 
+# The commands that check claims and read Q only: on a fresh cache they take
+# its bits too.
+READ_ONLY = (["verify", "--suite", "all"], ["bertrand", "--from", "1", "--to", "500"],
+             ["triples", "--rank", "10"], ["ap", "verify", "164,188,212,236"])
+
 # The capacity and membership edges of the point commands at limit 1000,
 # whose largest SP is 981 = 109 * 3**2 and which holds 169 SP numbers.
 POINT_EDGES = POINT_COMMANDS + (
@@ -446,33 +451,39 @@ def numpy_route(monkeypatch):
     monkeypatch.setattr(sploop.cli, "PURE_BUILD_MAX", 0)
 
 
+def in_a_new_process(argvs: list[list[str]]) -> list[list]:
+    """[exit code, stdout, stderr, whether numpy is loaded] after each argv,
+    dispatched in turn in one new interpreter."""
+    script = (
+        "import contextlib, io, json, sys, sploop.cli\n"
+        "rows = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        code = sploop.cli.dispatch(argv)\n"
+        "    rows.append([code, out.getvalue(), err.getvalue(),\n"
+        "                 'numpy' in sys.modules])\n"
+        "print(json.dumps(rows))\n")
+    src = os.path.dirname(os.path.dirname(sploop.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argvs)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 class TestCachedPointRoute:
     def test_cached_point_commands_never_import_numpy(self, tmp_path, monkeypatch):
         cache, built, out = (tmp_path / name for name in ("q.spq", "b.spq", "o.spq"))
         assert run("build", "--limit", "1000", "--out", str(cache))[0] == 0
         before = cache.stat()
-        script = (
-            "import contextlib, io, json, sys, sploop.cli\n"
-            "rows = []\n"
-            "for argv in json.loads(sys.argv[1]):\n"
-            "    out, err = io.StringIO(), io.StringIO()\n"
-            "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
-            "        code = sploop.cli.dispatch(argv)\n"
-            "    rows.append([code, out.getvalue(), err.getvalue(),\n"
-            "                 'numpy' in sys.modules])\n"
-            "print(json.dumps(rows))\n")
         commands = [*CACHED_COMMANDS, ["build"]]
         argvs = ([["--limit", "1000", "--cache", str(cache)] + c for c in commands]
                  + [["--limit", "1000"] + c for c in commands]
                  + [["--limit", "1000", "--cache", str(built), "count", "117"],
                     ["--limit", "1000", "build", "--out", str(out)]])
-        src = os.path.dirname(os.path.dirname(sploop.__file__))
-        proc = subprocess.run(
-            [sys.executable, "-c", script, json.dumps(argvs)],
-            capture_output=True, text=True, timeout=60,
-            env={**os.environ, "PYTHONPATH": src})
-        assert proc.returncode == 0, proc.stderr
-        rows = json.loads(proc.stdout)
+        rows = in_a_new_process(argvs)
         assert [numpy for *_, numpy in rows] == [False] * len(argvs)
         numpy_route(monkeypatch)
         assert [row[:3] for row in rows[:-2]] == [
@@ -487,6 +498,20 @@ class TestCachedPointRoute:
         code, payload = run_json("fixed-point", "12", "--limit", "1000",
                                  "--cache", str(cache))
         assert (code, payload["fixed_point"]) == (0, 44)
+
+    def test_read_only_checks_on_a_fresh_cache_never_import_numpy(
+            self, tmp_path, monkeypatch):
+        cache = tmp_path / "q.spq"
+        assert run("build", "--limit", "1000", "--out", str(cache))[0] == 0
+        before = cache.read_bytes()
+        rows = in_a_new_process(
+            [["--limit", "1000", "--cache", str(cache)] + c for c in READ_ONLY])
+        assert [numpy for *_, numpy in rows] == [False] * len(READ_ONLY)
+        assert [code for code, *_ in rows] == [1, 0, 1, 0]
+        numpy_route(monkeypatch)
+        assert [row[:3] for row in rows] == [
+            list(run("--limit", "1000", *c)) for c in READ_ONLY]
+        assert cache.read_bytes() == before
 
     @pytest.mark.parametrize("argv", POINT_EDGES + GAP_EDGES, ids=" ".join)
     def test_uncached_answers_match_the_built_index(self, monkeypatch, argv):
@@ -504,7 +529,8 @@ class TestCachedPointRoute:
         result = run("--limit", "1000", *argv)
         assert result[:2] == (code, "") and result[2].endswith(tail)
 
-    @pytest.mark.parametrize("argv", [*CACHED_COMMANDS, ["build"]], ids=" ".join)
+    @pytest.mark.parametrize("argv", [*CACHED_COMMANDS, ["build"], *READ_ONLY],
+                             ids=" ".join)
     def test_the_crossover_picks_the_route(self, monkeypatch, argv):
         def refused(*_args, **_kwargs):
             raise AssertionError("the refused route was taken")
@@ -754,7 +780,7 @@ class TestVerifySuites:
             "import contextlib, io, sys, sploop.cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    sploop.cli.dispatch(['--limit', '10000', 'verify', '--suite', 'all'])\n"
-            "assert 'numpy' in sys.modules\n"
+            "assert 'numpy' not in sys.modules\n"
             "assert 'numpy.ma' not in sys.modules\n")
         proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True, timeout=60,
@@ -786,12 +812,13 @@ class TestVerifySuites:
             env={**os.environ, "PYTHONPATH": src})
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == [[0, []]] * 4 + [
-            [0, ["numpy", "sploop.verify"]]]
+            [0, ["sploop.verify"]]]
 
     def test_verify_all_never_builds_the_flags(self, monkeypatch):
         def built(_sieve):
             raise AssertionError("the flags were built")
 
+        numpy_route(monkeypatch)
         monkeypatch.setattr(SpSieve, "flags", property(built))
         code, payload = run_json("verify", "--suite", "all", "--limit", "10000")
         assert code == 1

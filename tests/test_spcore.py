@@ -129,7 +129,8 @@ def _designed_cases() -> list[int]:
     for p in near:
         cases += [p * p, p**3, 7 * p * p, 11 * p**3, 3 * p]
         for q in near:
-            cases += [p * q, p * q * q, 5 * p * q * q]
+            # 4pq leaves the cofactor pq, which Miller-Rabin alone rejects.
+            cases += [p * q, p * q * q, 5 * p * q * q, 4 * p * q]
     big = 4294967291  # the largest prime below 2**32
     return cases + [big * big, 3 * big * big, 2**64 - 59, 561, 41041,
                     825265, 321197185, 3215031751, 3 * 2**32]

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import gc
+import random
 import tracemalloc
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -29,6 +31,8 @@ from sploop import (
     sp_ap_from_terms,
     verify_bullet_chain,
 )
+from sploop import cachefile
+from sploop.front import QFront
 
 from _oracles import pairwise_table_slow, search_equal_triple_slow
 
@@ -257,6 +261,31 @@ class TestEqualTriples:
                               if answers[-1] else None)
         assert None in starts and max(s for s in starts if s is not None) >= 5
 
+    def test_agrees_with_the_table_scan_on_the_bits(self, index_1e4):
+        bits = cachefile.QBits(10**4, cachefile.build_payload(10**4))
+        for r in range(301):
+            assert search_equal_triple(bits, r) == search_equal_triple_slow(
+                *pairwise_table_slow(index_1e4.elements, r)), r
+
+    def test_agrees_with_the_table_scan_on_drawn_member_lists(self):
+        # Gaps of 1 to 3 with a wide one now and then give runs of several
+        # equal values in a row, so a triple's c need not follow its b, and
+        # a b can have more than one c.
+        firsts = []
+        for seed in range(200):
+            rng = random.Random(seed)
+            gaps = [rng.choice((1, 2, 3, 3, rng.randint(4, 40)))
+                    for _ in range(rng.randint(2, 40))]
+            members = [1]
+            for gap in gaps:
+                members.append(members[-1] + gap)
+            front = ListFront(members)
+            answers = _slow_answers(np.array(members, dtype=np.int64))
+            for r, triple in enumerate(answers):
+                assert search_equal_triple(front, r) == triple, (seed, r)
+            firsts.append(answers[-1] and answers[-1][0])
+        assert None in firsts and len(set(firsts)) >= 10
+
     def test_makes_no_table(self, index_1e5):
         # The 2001 x 2001 int64 table alone would take 32 MB.
         search_equal_triple(index_1e5, 2000)  # warm the index's own arrays
@@ -267,6 +296,26 @@ class TestEqualTriples:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20, peak
+
+
+class ListFront(QFront):
+    """The query front over a plain ascending list of members from 1: the
+    checks and ``prefix`` that ``search_equal_triple`` asks for."""
+
+    __slots__ = ("members",)
+
+    def __init__(self, members: list[int]):
+        self.limit = members[-1]
+        self.members = members
+
+    def _count(self, n: int) -> int:
+        return bisect_right(self.members, n) - 1
+
+    def _nth(self, r: int) -> int | None:
+        return self.members[r] if r < len(self.members) else None
+
+    def _prefix(self, r: int) -> list[int]:
+        return self.members[: r + 1]
 
 
 def _slow_answers(elements: np.ndarray) -> list[tuple[int, int, int] | None]:

@@ -1,6 +1,8 @@
 """The verify suites as library functions, against the CLI that renders
 them: ``verify.run`` on a built Q gives the ``suites`` field of
-``sploop verify --format json``, and refuses where the CLI exits 2 or 3."""
+``sploop verify --format json``, and refuses where the CLI exits 2 or 3.
+On the bits of a ``cachefile.QBits`` it gives what it gives on the built
+Q, refusals included."""
 
 from __future__ import annotations
 
@@ -12,7 +14,8 @@ from functools import lru_cache
 import pytest
 
 from sploop import CapacityError, NotFoundError, SearchBudgetError, SploopError
-from sploop import build_sieve, cli, verify
+from sploop import build_sieve, cachefile, cli, verify
+from sploop.loop_algebra import cayley_rows
 
 FLAGS = {"rank": "--rank", "n_max": "--n-max", "length": "--length",
          "bound": "--bound", "square": "--square", "lo": "--from", "hi": "--to",
@@ -36,6 +39,19 @@ LIMITS = (8, 9, 27, 28, 117, 1000)
 @lru_cache(maxsize=None)
 def built(limit: int):
     return build_sieve(limit)
+
+
+@lru_cache(maxsize=None)
+def payload(limit: int) -> bytes:
+    return cachefile.build_payload(limit)
+
+
+def outcome(q, names: list[str], options: dict):
+    """The suites' result, or the refusal's type, message and ``required``."""
+    try:
+        return verify.run(q, names, **options)
+    except SploopError as exc:
+        return type(exc), str(exc), getattr(exc, "required", None)
 
 
 def dispatch(*argv: str) -> tuple[int, str, str]:
@@ -74,6 +90,56 @@ def test_each_suite_is_what_the_cli_prints(limit, name, explicit):
 def test_all_suites_with_every_option(limit):
     options = {k: v for opts in EXPLICIT.values() for k, v in opts.items()}
     assert_run_matches_the_cli(limit, list(verify.SUITES), options)
+
+
+@pytest.mark.parametrize("explicit", [False, True], ids=["default", "explicit"])
+@pytest.mark.parametrize("name", list(verify.SUITES))
+@pytest.mark.parametrize("limit", LIMITS + (10**4,))
+def test_each_suite_on_the_bits_is_the_suite_on_the_sieve(limit, name, explicit):
+    options = EXPLICIT[name] if explicit else {}
+    bits = cachefile.QBits(limit, payload(limit))
+    assert outcome(bits, [name], options) == outcome(built(limit), [name], options)
+
+
+@pytest.mark.parametrize("limit", LIMITS + (10**4,))
+def test_all_suites_on_one_bits_view_are_the_suites_on_the_sieve(limit):
+    # One QBits keeps the record gaps each suite finds for the next.
+    names = list(verify.SUITES)
+    bits = cachefile.QBits(limit, payload(limit))
+    assert outcome(bits, names, {}) == outcome(built(limit), names, {})
+    for name in names:
+        assert outcome(bits, [name], {}) == outcome(built(limit), [name], {})
+
+
+def broken_rows(edits: dict):
+    """``cayley_rows`` with the entries at (i, j) replaced by
+    ``edits[i, j](members)``."""
+    def rows(members):
+        table = cayley_rows(members)
+        for (i, j), entry in edits.items():
+            table[i][j] = entry(members)
+        return table
+    return rows
+
+
+@pytest.mark.parametrize("edits, failing", [
+    ({(2, 3): lambda m: 2}, {"closure", "commutativity"}),
+    ({(4, 2): lambda m: 1}, {"commutativity"}),
+    ({(0, 3): lambda m: m[4], (3, 0): lambda m: m[4]}, {"identity", "bound"}),
+    ({(3, 3): lambda m: m[1]}, {"self_inverse"}),
+    ({(3, 2): lambda m: m[5], (2, 3): lambda m: m[5]}, {"bound"}),
+    ({(3, 2): lambda m: m[5]}, {"commutativity", "bound"}),
+    ({(2, 3): lambda m: m[5]}, {"commutativity", "bound"}),
+    ({(5, 1): lambda m: m[6], (1, 5): lambda m: m[6]}, {"bound"}),
+], ids=["closure", "commutativity", "identity", "self-inverse",
+        "bound-beside-the-diagonal", "bound-below-only", "bound-above-only",
+        "bound-off-the-diagonal"])
+def test_each_axiom_check_fails_on_its_broken_entry(monkeypatch, edits, failing):
+    q = built(1000)
+    assert all(c["ok"] for c in verify.axioms(q, rank=10))
+    monkeypatch.setattr(verify, "cayley_rows", broken_rows(edits))
+    checks = verify.axioms(q, rank=10)
+    assert {c["name"] for c in checks if not c["ok"]} == failing
 
 
 def test_suite_names_are_the_cli_choices():

@@ -10,10 +10,12 @@ directory with a fixed cache file name, so that the ``-v`` notes name the
 same path every time; the build time in the "built sieve" note is masked
 before hashing. The list covers ``verify`` with each suite and ``all``,
 with default and explicit options and with options a suite does not read,
-the other commands in the three formats at limits 8 to 10**4, and the
-cached, numpy and ``verify`` routes with no cache, a new, fresh, larger,
-smaller (stale) and corrupt cache file, with and without ``-v``. It uses
-the standard library only.
+the other commands in the three formats at limits 8 to 10**4, the
+read-only checks (``verify``, ``bertrand``, ``triples`` and
+``ap verify``) the same way on a fresh cache, and the bits and numpy
+routes and those checks with no cache, a new, fresh, larger, smaller
+(stale) and corrupt cache file, with and without ``-v``. It uses the
+standard library only.
 """
 
 from __future__ import annotations
@@ -83,11 +85,20 @@ OTHERS = [["bertrand", "--from", "1", "--to", "4"],
           ["nonassoc", "--rank", "10"],
           ["zeta", "--a", "0.5"]]
 
-# The commands run on each cache state: the cached route, the numpy route
+# The read-only checks that answer from a fresh cache's bits.
+CHECKS = [["verify"] + argv for argv in VERIFY] + [
+    argv for argv in OTHERS
+    if argv[0] in ("bertrand", "triples") or argv[:2] == ["ap", "verify"]]
+
+# The commands run on each cache state: the bits route, the numpy route
 # and verify.
 CACHE_RUNS = CACHED + [["list", "--count", "3"], ["census", "--max", "20"],
                        ["verify", "--suite", "lemma4"],
-                       ["verify", "--suite", "all"]]
+                       ["verify", "--suite", "all"],
+                       ["bertrand", "--from", "1", "--to", "14"],
+                       ["triples", "--rank", "7"],
+                       ["ap", "verify", "8,12"],
+                       ["ap", "verify", "164,188,212,236"]]
 
 
 def invocations():
@@ -104,12 +115,17 @@ def invocations():
             yield None, common + ["bertrand", "--from", "1",
                                   "--to", str(limit // 2)]
             yield None, common + ["census", "--max", str(limit)]
+    for limit in LIMITS:
+        for fmt in FORMATS:
+            for argv in CHECKS:
+                yield "fresh", ["--limit", str(limit), "--cache", CACHE,
+                                "--format", fmt] + argv
     for limit in (28, 1000, 10**4):
-        for state in ("new", "fresh", "larger", "stale", "corrupt"):
+        for state in ("none", "new", "fresh", "larger", "stale", "corrupt"):
+            cache = [] if state == "none" else ["--cache", CACHE]
             for verbose in ([], ["-v"]):
                 for argv in CACHE_RUNS:
-                    yield state, (["--limit", str(limit), "--cache", CACHE]
-                                  + verbose + argv)
+                    yield state, ["--limit", str(limit)] + cache + verbose + argv
 
 
 def prepare(state: str | None, limit: int) -> None:

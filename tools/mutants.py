@@ -48,6 +48,8 @@ LOOP_TESTS = "tests/test_loop.py::"
 SIEVE_TESTS = "tests/test_sieve.py::"
 RECORD_TESTS = "tests/test_records.py::"
 GAP_TESTS = "tests/test_gap_kernels.py::"
+TRIPLES = "tests/test_theorems.py::TestEqualTriples::"
+VERIFY_TESTS = "tests/test_verify.py::"
 
 # (name, file, old text, new text, test node ids that must fail)
 MUTANTS = [
@@ -56,8 +58,12 @@ MUTANTS = [
      "if cube > m:", "if cube >= m:",
      [SPCORE_TESTS + "TestSpDecompose::test_first_25"]),
     ("spcore: cofactor-is-prime case dropped", SPCORE,
-     "    if odd is None and is_prime(m):\n        return m\n", "",
+     "    if odd is None and _strong_probable_prime(m):\n        return m\n", "",
      [SPCORE_TESTS + "TestSpDecompose::test_first_25"]),
+    ("spcore: a cofactor taken as prime untested", SPCORE,
+     "if odd is None and _strong_probable_prime(m):",
+     "if odd is None:",
+     [SPCORE_TESTS + "TestSplitRoute::test_designed_cases"]),
     ("spcore: cofactor-is-a-square case dropped", SPCORE,
      "if r * r == m:\n        return odd", "if m == 1:\n        return odd",
      [SPCORE_TESTS + "TestSpDecompose::test_first_25"]),
@@ -168,10 +174,6 @@ MUTANTS = [
     ("sieve: last block left unstruck", SIEVE,
      "range(_BLOCK, size + _BLOCK, _BLOCK)", "range(_BLOCK, size, _BLOCK)",
      [SIEVE_TESTS + "TestQFirst::test_wheel_prime_sieve_at_block_edges"]),
-    ("theorems: triple search stops after t = 1", THEOREMS,
-     "            t += 1\n", "            break\n",
-     ["tests/test_theorems.py::TestEqualTriples::"
-      "test_agrees_with_the_table_scan_past_the_first_rows"]),
     ("cachefile: descending k in the payload", QBITS,
      "for k in range(2, math.isqrt(limit // 2) + 1):",
      "for k in range(math.isqrt(limit // 2), 1, -1):",
@@ -227,6 +229,35 @@ MUTANTS = [
      "t_max=args.t_max, q_max=args.q_max,", "t_max=args.t_max,",
      [CLI_TESTS + "TestVerifySuites::"
       "test_theorem1_q_max_past_the_limit_takes_every_member"]),
+    # The read-only checks on the bits: the triple search and the axioms
+    # over lists, and the record gaps that QBits keeps.
+    ("theorems: triple runs cut to two values", THEOREMS,
+     "end = bisect_right(row, value, x + 2)", "end = x + 2",
+     [TRIPLES + "test_agrees_with_the_table_scan_on_drawn_member_lists"]),
+    ("theorems: triple run ends one value early", THEOREMS,
+     "run = tail[x:end]", "run = tail[x : end - 1]",
+     [TRIPLES + "test_agrees_with_the_table_scan_on_drawn_member_lists"]),
+    ("theorems: triple search takes the last c", THEOREMS,
+     "for c in run[y:]:", "for c in reversed(run[y:]):",
+     [TRIPLES + "test_agrees_with_the_table_scan_on_drawn_member_lists"]),
+    ("theorems: triple search skips a run that starts where one ends", THEOREMS,
+     "if x < end:", "if x <= end:",
+     [TRIPLES + "test_agrees_with_the_table_scan_on_drawn_member_lists"]),
+    ("verify: axioms bound skips the entry right of the diagonal", VERIFY,
+     "all(map(le, row[i + 1 :], members[i + 1 :]))",
+     "all(map(le, row[i + 2 :], members[i + 2 :]))",
+     [VERIFY_TESTS + "test_each_axiom_check_fails_on_its_broken_entry"
+      "[bound-above-only]"]),
+    ("verify: axioms bound without the part left of the diagonal", VERIFY,
+     "max(row[:i], default=a) <= a\n        and ", "",
+     [VERIFY_TESTS + "test_each_axiom_check_fails_on_its_broken_entry"
+      "[bound-below-only]"]),
+    ("qbits: next record one wider than needed", QBITS,
+     "self._gap_from(hi, hi - lo + 1)", "self._gap_from(hi, hi - lo + 2)",
+     [CACHEFILE + "test_gap_queries_in_any_order_on_one_bits_view"]),
+    ("qbits: records walked again from 1", QBITS,
+     "lo, hi = records[-1] if records else (1, 1)", "lo, hi = 1, 1",
+     [CACHEFILE + "test_record_gaps_are_walked_once"]),
 ]
 
 
