@@ -6,7 +6,7 @@ All logarithms are natural logarithms. The density comparison is a trend
 check: the ratio sp_count(n) * ln(n) / n drifts toward zeta(2) - 1 but the
 second-order term keeps the constant itself out of reach at desk scale,
 so only the shrinking of the absolute error across decades is asserted.
-Only ``digit_census`` and ``gap_histogram`` import numpy, when called.
+Only ``gap_histogram`` imports numpy, when called.
 """
 
 from __future__ import annotations
@@ -97,18 +97,10 @@ def digit_census(index: QIndex, limit: int) -> DigitCensus:
     digit1_target is the modeled count digit1_constant() * limit / ln(limit),
     reported for side-by-side comparison; it is not a tolerance assertion.
     """
-    import numpy as np
-
     index._check_range(limit)
-    sps = index._sp_members(limit)
-    # One byte per digit: np.bincount would cast the residues to intp.
-    digits = (sps % 10).astype(np.uint8)
     target = digit1_constant() * limit / math.log(limit) if limit >= 2 else 0.0
-    return DigitCensus(
-        limit=limit,
-        counts={d: int(np.count_nonzero(digits == d)) for d in range(10)},
-        digit1_target=target,
-    )
+    return DigitCensus(limit=limit, counts=dict(enumerate(index._digit_counts(limit))),
+                       digit1_target=target)
 
 
 def gap_histogram(index: QIndex, limit: int) -> dict[int, int]:

@@ -14,15 +14,13 @@ the given file is read and checked when it exists and covers the
 requested limit, and left as it is; otherwise Q is built and saved there.
 Results with and without a cache are identical.
 
-Every handler takes Q from ``_index``. The cached commands op, succ,
-pred, count, nth, fixed-point, gap-run, pairs and table, the read-only
-checks verify, bertrand, triples and ap verify, and build, ask it for
-bits: the cache file's (``cachefile.QBits``) when it exists and covers the
-limit, else bits built without numpy (``cachefile.build_payload``) up to
-``PURE_BUILD_MAX``. Above it, and for list, census, density and nonassoc
-at every limit, Q is built as a numpy ``SpSieve``; the numpy-using
-modules are imported inside the functions that use them, and ``verify``
-imports the suites of ``verify.py``, which need no numpy.
+Every handler takes Q from ``_index``, by one rule: the cache file's bits
+(``cachefile.QBits``) when it exists and covers the limit, else bits built
+without numpy (``cachefile.build_payload``) up to ``PURE_BUILD_MAX``, else
+a numpy ``SpSieve``. So no command imports numpy at a limit up to
+``PURE_BUILD_MAX``; the numpy-using modules are imported inside the
+functions that use them, and ``verify`` imports the suites of
+``verify.py``, which need no numpy.
 
 The outputs that grow with the result (list, pairs and table) reach
 ``_emit`` as generators, so only the chosen format is rendered.
@@ -61,9 +59,9 @@ from .loop_algebra import (
 )
 
 DEFAULT_LIMIT = 10_000_000
-# The largest limit at which the bits commands build Q without numpy: that
-# build costs ~10 ns a number, numpy's ~1.3 ns plus its import (they met
-# between 1.5e7 and 1.75e7 on a 2-core x86 host).
+# The largest limit at which Q is built without numpy: that build costs
+# ~10 ns a number, numpy's ~1.3 ns plus its import (they met between 1.5e7
+# and 1.75e7 on a 2-core x86 host).
 PURE_BUILD_MAX = 15_000_000
 # ``verify.SUITES``'s names, for --suite; only ``verify`` imports the suites.
 SUITE_NAMES = ("axioms", "lemma1", "lemma2", "lemma3", "lemma4",
@@ -209,23 +207,21 @@ def _build_parser() -> argparse.ArgumentParser:
 # -- sieve acquisition ----------------------------------------------------
 
 
-def _index(args, bits=True):
-    """Q up to --limit. A --cache file that exists and covers the limit is
-    read and checked first, so a malformed one fails, and is left as it
-    is; with ``bits`` its bits answer. Otherwise Q is built, as bits
-    without numpy up to ``PURE_BUILD_MAX`` when ``bits`` allows, else as a
-    numpy ``SpSieve``, and saved to --cache unless that file was fresh."""
-    fresh = False
+def _index(args):
+    """Q up to --limit. A --cache file that exists is read and checked
+    first, so a malformed one fails; when it covers the limit its bits
+    answer, and it is left as it is. Otherwise Q is built, as bits without
+    numpy up to ``PURE_BUILD_MAX``, else as a numpy ``SpSieve``, and saved
+    to --cache."""
     if args.cache and os.path.exists(args.cache):
         limit, payload = cachefile.read(args.cache)
-        fresh = limit >= args.limit
-        if fresh and args.verbose:
-            print(f"loaded cache {args.cache} (limit {limit})", file=sys.stderr)
-        if fresh and bits:
+        if limit >= args.limit:
+            if args.verbose:
+                print(f"loaded cache {args.cache} (limit {limit})", file=sys.stderr)
             return cachefile.QBits(args.limit, payload)
         del payload  # not held through the build
     started = time.monotonic()
-    if bits and args.limit <= PURE_BUILD_MAX:
+    if args.limit <= PURE_BUILD_MAX:
         q = cachefile.QBits(args.limit, cachefile.build_payload(args.limit))
     else:
         from .sieve import build_sieve
@@ -234,7 +230,7 @@ def _index(args, bits=True):
     if args.verbose:
         print(f"built sieve to {args.limit} in {time.monotonic() - started:.2f}s",
               file=sys.stderr)
-    if args.cache and not fresh:
+    if args.cache:
         q.save(args.cache)
         if args.verbose:
             print(f"saved cache {args.cache}", file=sys.stderr)
@@ -283,7 +279,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_list(args) -> int:
-    q = _index(args, bits=False)
+    q = _index(args)
     if args.count is not None:
         if args.count < 0:
             raise DomainError(f"need --count >= 0, got {args.count}")
@@ -355,7 +351,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_nonassoc(args) -> int:
-    q = _index(args, bits=False)
+    q = _index(args)
     witness = find_nonassoc_witness(q, args.rank)
     payload = {"rank": args.rank,
                "witness": list(witness) if witness else None}
@@ -489,7 +485,7 @@ def _cmd_bertrand(args) -> int:
 def _cmd_census(args) -> int:
     from . import analytics
 
-    q = _index(args, bits=False)
+    q = _index(args)
     result = analytics.digit_census(q, args.max)
     total = sum(result.counts.values())
     payload = {"limit": result.limit,
@@ -508,7 +504,7 @@ def _cmd_census(args) -> int:
 def _cmd_density(args) -> int:
     from . import analytics
 
-    q = _index(args, bits=False)
+    q = _index(args)
     rows = analytics.density_table(q, args.checkpoints)
     payload = {"target": analytics.DENSITY_TARGET,
                "rows": [{"n": r.n, "sp_count": r.sp_count, "ratio": r.ratio,

@@ -13,6 +13,8 @@ checks pass, with arguments in the ranges below:
 - ``_pairs(g, limit)``: the consecutive SP pairs at gap g >= 1 up to
   limit <= the index's limit, as (lo, hi) tuples;
 - ``_prefix(r)``: the rank-r prefix, once the r-th SP number exists;
+- ``_digit_counts(limit)``: the counts of SP numbers <= limit by final
+  digit 0..9, as a list, for 0 <= limit <= the index's limit;
 - ``_repeats()``: the values listed more than once, which ``theorems``'
   adjacency and twin-shift checks read;
 - ``first_gap(w)``, which takes any w and so needs no check.

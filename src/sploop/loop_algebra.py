@@ -24,8 +24,8 @@ The table, the non-associativity search and
 member, and the prefix's own gaps give it: N(x) is the upper member of the
 gap that holds x. ``_successors`` lists it in one merge pass over
 consecutive members, without numpy and without the index. Only
-``cayley_table`` and ``find_nonassoc_witness`` import numpy, when called;
-``cayley_rows`` is the table without it, which ``verify.axioms`` checks.
+``cayley_table`` imports numpy, when called; ``cayley_rows`` is the
+table without it, which ``verify.axioms`` checks.
 """
 
 from __future__ import annotations
@@ -106,22 +106,21 @@ def find_nonassoc_witness(index: QIndex, r: int) -> tuple[int, int, int] | None:
 
     Repeats are allowed: the cube is scanned in row-major order over
     member values, so the returned triple is the smallest witness overall.
+    1, a two-sided identity, fails no triple and is skipped at each level:
+    else the scan would walk all r**2 pairs with a = 1 first.
     """
-    import numpy as np
-
-    table = cayley_table(index, r)
-    m, t = np.asarray(table.members, dtype=np.int64), table.entries
-    # Every entry is a member of the prefix, so each difference below lies
-    # in [0, m[-1]), where N is gathered.
-    successors = np.asarray(_successors(table.members), dtype=np.int64)
-    for i in range(len(m)):
-        # left[b, c] = (m[i] • m[b]) • m[c];  right[b, c] = m[i] • (m[b] • m[c])
-        left = successors[np.abs(t[i, :][:, None] - m[None, :])]
-        right = successors[np.abs(m[i] - t)]
-        diff = left != right
-        if diff.any():
-            b, c = np.unravel_index(int(np.argmax(diff)), diff.shape)
-            return int(m[i]), int(m[b]), int(m[c])
+    members = index.prefix(r)
+    # Every product is a member of the prefix, so each difference below lies
+    # in [0, members[-1]), where N is listed.
+    successors = _successors(members)
+    rest = members[1:]
+    for a in rest:
+        for b in rest:
+            ab = successors[abs(a - b)]
+            for c in rest:
+                bc = successors[abs(b - c)]
+                if successors[abs(ab - c)] != successors[abs(a - bc)]:
+                    return a, b, c
     return None
 
 

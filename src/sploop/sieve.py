@@ -7,7 +7,7 @@ The queries, their checks and errors live in the ``front`` module, shared
 with the numpy-free ``cachefile.QBits``; ``QIndex`` supplies the
 primitives it lists, each a ``searchsorted`` or a slice of the members.
 No other module indexes the members or their gaps: they ask the front,
-or a ``QIndex`` primitive such as ``_sp_members`` or ``_repeats``.
+or a ``QIndex`` primitive such as ``_sp_gaps`` or ``_repeats``.
 ``SpSieve`` is a ``QIndex`` made by the sieve or read from the cache: it
 adds the flag per number, ``is_sp`` and the cache file. ``build_sieve``
 and ``load_cache`` return one; no second object is needed to query it.
@@ -234,14 +234,15 @@ class QIndex(QFront):
         hits = 1 + np.flatnonzero(self._sp_gaps(limit) == g)
         return elements[hits].tolist(), elements[hits + 1].tolist()
 
-    def _sp_members(self, limit: int) -> np.ndarray:
-        """The SP numbers <= limit, ascending, as a view of the members."""
-        return self.elements[1 : _rank(self.elements, limit, "right")]
+    def _digit_counts(self, limit: int) -> list[int]:
+        # One byte per digit: np.bincount would cast the residues to intp.
+        digits = (self.elements[1 : self._count(limit) + 1] % 10).astype(np.uint8)
+        return [int(np.count_nonzero(digits == d)) for d in range(10)]
 
     def _sp_gaps(self, limit: int) -> np.ndarray:
         """The gaps between consecutive SP numbers <= limit, ``gaps[1:k]``
         for k of them: entry i leads from ``elements[i + 1]``."""
-        return self.gaps[1 : len(self._sp_members(limit))]
+        return self.gaps[1 : self._count(limit)]
 
     def _repeats(self) -> list[int]:
         """Values listed more than once, ascending, once per extra listing."""

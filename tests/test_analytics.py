@@ -10,12 +10,14 @@ from sploop import (
     DENSITY_TARGET,
     CapacityError,
     DomainError,
+    build_sieve,
     density_table,
     digit1_constant,
     digit_census,
     gap_histogram,
     hurwitz_zeta2,
 )
+from sploop import cachefile
 
 from _oracles import digit1_constant_slow
 
@@ -132,6 +134,20 @@ class TestDigitCensus:
     def test_errors(self, sieve_1e4):
         with pytest.raises(CapacityError):
             digit_census(sieve_1e4, 10**5)
+
+
+class TestDigitCensusOnBits:
+    def test_every_limit_of_one_view(self):
+        bits = cachefile.QBits(2000, cachefile.build_payload(2000))
+        sieve = build_sieve(2000)
+        for limit in range(2001):
+            assert digit_census(bits, limit) == digit_census(sieve, limit), limit
+
+    def test_one_mask_period_up_to_1e5(self, sieve_1e5):
+        # The mask of the numbers that end in 0 repeats every 40 bits.
+        bits = cachefile.QBits(10**5, cachefile.build_payload(10**5))
+        for limit in range(10**5 - 39, 10**5 + 1):
+            assert digit_census(bits, limit) == digit_census(sieve_1e5, limit), limit
 
 
 class TestGapHistogram:

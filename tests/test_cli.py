@@ -1,10 +1,10 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
 import os
-import re
 import signal
 import subprocess
 import sys
@@ -374,30 +374,19 @@ class TestDeterminismAndCache:
         assert run(*argv, loud, "-vv") == loaded
 
     @pytest.mark.parametrize("built_at", [1000, 2000])
-    def test_verbose_numpy_command_on_a_cache_notes_the_build(
-            self, tmp_path, built_at):
-        cache = tmp_path / "q.spq"
-        run("build", "--limit", str(built_at), "--out", str(cache))
-        before = cache.read_bytes()
-        argv = ("--limit", "1000", "--cache", str(cache), "list", "--max", "117")
-        quiet = run(*argv)
-        code, out, err = run(*argv, "-v")
-        assert quiet[2] == "" and (code, out) == quiet[:2]
-        assert re.fullmatch(
-            rf"loaded cache {re.escape(str(cache))} \(limit {built_at}\)\n"
-            r"built sieve to 1000 in \d+\.\d\ds\n", err), err
-        assert cache.read_bytes() == before
-
-    @pytest.mark.parametrize("built_at", [1000, 2000])
     def test_verbose_cached_gap_run_notes_only_the_load(self, tmp_path, built_at):
         cache = tmp_path / "q.spq"
         run("build", "--limit", str(built_at), "--out", str(cache))
         before = cache.read_bytes()
-        argv = ("--limit", "1000", "--cache", str(cache), "gap-run", "8")
-        quiet = run(*argv)
-        assert quiet[2] == "" and quiet[:2] == run("--limit", "1000", "gap-run", "8")[:2]
-        assert run(*argv, "-v") == (
-            *quiet[:2], f"loaded cache {cache} (limit {built_at})\n")
+        for command in (["gap-run", "8"], ["list", "--max", "117"],
+                        ["census", "--max", "1000"],
+                        ["density", "--checkpoints", "3,1000"],
+                        ["nonassoc", "--rank", "10"]):
+            argv = ("--limit", "1000", "--cache", str(cache), *command)
+            quiet = run(*argv)
+            assert quiet[2] == "" and quiet[:2] == run("--limit", "1000", *command)[:2]
+            assert run(*argv, "-v") == (
+                *quiet[:2], f"loaded cache {cache} (limit {built_at})\n")
         assert cache.read_bytes() == before
 
     def test_saves_never_build_the_flags(self, tmp_path, monkeypatch):
@@ -408,6 +397,7 @@ class TestDeterminismAndCache:
         paths = [tmp_path / name for name in ("lib.spq", "out.spq", "cache.spq")]
         build_sieve(10**4).save(paths[0])
         assert run("build", "--limit", "10000", "--out", str(paths[1]))[0] == 0
+        numpy_route(monkeypatch)
         assert run("list", "--limit", "10000", "--cache", str(paths[2]))[0] == 0
         assert len({path.read_bytes() for path in paths}) == 1
 
@@ -418,10 +408,14 @@ CACHED_COMMANDS = POINT_COMMANDS + (
     ["fixed-point", "12"], ["gap-run", "8"], ["pairs", "--gap", "1"],
     ["table", "--rank", "5"])
 
-# The commands that check claims and read Q only: on a fresh cache they take
-# its bits too.
+# The other commands that read Q: on a fresh cache they take its bits too.
 READ_ONLY = (["verify", "--suite", "all"], ["bertrand", "--from", "1", "--to", "500"],
-             ["triples", "--rank", "10"], ["ap", "verify", "164,188,212,236"])
+             ["triples", "--rank", "10"], ["ap", "verify", "164,188,212,236"],
+             ["list", "--count", "5"], ["census", "--max", "1000"],
+             ["density", "--checkpoints", "3,1000"], ["nonassoc", "--rank", "10"])
+
+# The commands that read no Q; with the ones above, every subcommand.
+NO_Q = (["ap", "find", "--length", "3", "--bound", "100"], ["zeta", "--a", "0.5"])
 
 # The capacity and membership edges of the point commands at limit 1000,
 # whose largest SP is 981 = 109 * 3**2 and which holds 169 SP numbers.
@@ -443,6 +437,18 @@ GAP_EDGES = CACHED_COMMANDS[len(POINT_COMMANDS):] + (
     ["pairs", "--gap", "1", "--max", "1001"], ["pairs", "--gap", "1", "--max", "-1"],
     ["pairs", "--gap", "2", "--max", "1000"], ["table", "--rank", "0"],
     ["table", "--rank", "-1"], ["table", "--rank", "169"], ["table", "--rank", "170"],
+)
+
+
+# The edges of list, census, density and nonassoc at limit 1000.
+LIST_EDGES = READ_ONLY[4:] + (
+    ["census", "--max", "0"], ["census", "--max", "7"], ["census", "--max", "8"],
+    ["census", "--max", "1001"], ["density", "--checkpoints", "1001"],
+    ["nonassoc", "--rank", "-1"], ["nonassoc", "--rank", "0"],
+    ["nonassoc", "--rank", "1"], ["nonassoc", "--rank", "2"],
+    ["nonassoc", "--rank", "169"], ["nonassoc", "--rank", "170"],
+    ["list", "--count", "169"], ["list", "--count", "170"],
+    ["list", "--max", "-5"], ["list", "--max", "1001"],
 )
 
 
@@ -507,13 +513,32 @@ class TestCachedPointRoute:
         rows = in_a_new_process(
             [["--limit", "1000", "--cache", str(cache)] + c for c in READ_ONLY])
         assert [numpy for *_, numpy in rows] == [False] * len(READ_ONLY)
-        assert [code for code, *_ in rows] == [1, 0, 1, 0]
+        assert [code for code, *_ in rows] == [1, 0, 1, 0, 0, 0, 0, 0]
         numpy_route(monkeypatch)
         assert [row[:3] for row in rows] == [
             list(run("--limit", "1000", *c)) for c in READ_ONLY]
         assert cache.read_bytes() == before
 
-    @pytest.mark.parametrize("argv", POINT_EDGES + GAP_EDGES, ids=" ".join)
+    def test_no_command_imports_numpy_up_to_the_crossover(self, tmp_path):
+        def subcommands(parser):
+            return next(action.choices for action in parser._actions
+                        if isinstance(action, argparse._SubParsersAction))
+
+        top = subcommands(sploop.cli._build_parser())
+        commands = (*CACHED_COMMANDS, ["build"], *READ_ONLY, *NO_Q)
+        assert {c[0] for c in commands} == set(top)
+        assert {c[1] for c in commands if c[0] == "ap"} == set(subcommands(top["ap"]))
+        cache = tmp_path / "q.spq"
+        assert run("build", "--limit", "1000", "--out", str(cache))[0] == 0
+        rows = in_a_new_process(
+            [["--limit", "1000", *cached, *c] for cached in ([], ["--cache", str(cache)])
+             for c in commands])
+        assert [numpy for *_, numpy in rows] == [False] * len(rows)
+        assert [row[:3] for row in rows[len(commands):]] == \
+            [row[:3] for row in rows[:len(commands)]]
+
+    @pytest.mark.parametrize("argv", POINT_EDGES + GAP_EDGES + LIST_EDGES,
+                             ids=" ".join)
     def test_uncached_answers_match_the_built_index(self, monkeypatch, argv):
         pure = run("--limit", "1000", *argv)
         numpy_route(monkeypatch)
@@ -556,7 +581,8 @@ class TestCachedPointRoute:
         assert open(trimmed, "rb").read() == open(direct, "rb").read()
         assert open(cache, "rb").read() == before
 
-    @pytest.mark.parametrize("argv", POINT_EDGES + GAP_EDGES, ids=" ".join)
+    @pytest.mark.parametrize("argv", POINT_EDGES + GAP_EDGES + LIST_EDGES,
+                             ids=" ".join)
     def test_cached_answers_match_the_built_index(self, tmp_path, argv):
         cache = str(tmp_path / "q.spq")
         run("build", "--limit", "1000", "--out", cache)
@@ -565,7 +591,8 @@ class TestCachedPointRoute:
         assert run("--limit", "1000", "--cache", cache, "-v", *argv) == (
             *fresh[:2], f"loaded cache {cache} (limit 1000)\n" + fresh[2])
 
-    @pytest.mark.parametrize("argv", POINT_EDGES + GAP_EDGES, ids=" ".join)
+    @pytest.mark.parametrize("argv", POINT_EDGES + GAP_EDGES + LIST_EDGES,
+                             ids=" ".join)
     def test_cache_built_larger_is_trimmed(self, tmp_path, argv):
         cache = tmp_path / "q.spq"
         run("build", "--limit", "2000", "--out", str(cache))

@@ -15,6 +15,7 @@ from sploop import (
     lop,
     sub_loop,
 )
+from sploop import cachefile
 from sploop.loop_algebra import _successors
 
 from _oracles import (lop_slow, nonassoc_witness_slow, pairwise_table_slow,
@@ -133,6 +134,17 @@ class TestNonAssociativity:
         assert _successors(m) == [index.successor(x) for x in range(m[-1])]
         assert cayley_table(index, r).to_lists() == pair.tolist()
         assert find_nonassoc_witness(index, r) == nonassoc_witness_slow(m, pair)
+
+    @given(drawn_prefixes())
+    @settings(max_examples=300, deadline=None)
+    def test_bits_route_matches_the_oracle(self, drawn):
+        index, r = drawn
+        payload = bytearray(cachefile.payload_size(index.limit))
+        for n in index.elements[1:].tolist():
+            payload[n >> 3] |= 1 << (n & 7)
+        bits = cachefile.QBits(index.limit, payload)
+        m, pair = pairwise_table_slow(index.elements, r)
+        assert find_nonassoc_witness(bits, r) == nonassoc_witness_slow(m, pair)
 
     def test_distinct_triple_witness(self, index_1e4):
         # the smallest witness with three distinct elements

@@ -11,11 +11,12 @@ same path every time; the build time in the "built sieve" note is masked
 before hashing. The list covers ``verify`` with each suite and ``all``,
 with default and explicit options and with options a suite does not read,
 the other commands in the three formats at limits 8 to 10**4, the
-read-only checks (``verify``, ``bertrand``, ``triples`` and
-``ap verify``) the same way on a fresh cache, and the bits and numpy
-routes and those checks with no cache, a new, fresh, larger, smaller
-(stale) and corrupt cache file, with and without ``-v``. It uses the
-standard library only.
+commands besides the cached ones that read Q (``verify``, ``bertrand``,
+``triples``, ``ap verify``, ``list``, ``census``, ``density`` and
+``nonassoc``) the same way on a fresh cache, and a sample of every
+command that reads Q with no cache, a new, fresh, larger, smaller (stale)
+and corrupt cache file, with and without ``-v``. It uses the standard
+library only.
 """
 
 from __future__ import annotations
@@ -85,14 +86,15 @@ OTHERS = [["bertrand", "--from", "1", "--to", "4"],
           ["nonassoc", "--rank", "10"],
           ["zeta", "--a", "0.5"]]
 
-# The read-only checks that answer from a fresh cache's bits.
+# The commands besides the cached ones that answer from a fresh cache's bits.
 CHECKS = [["verify"] + argv for argv in VERIFY] + [
-    argv for argv in OTHERS
-    if argv[0] in ("bertrand", "triples") or argv[:2] == ["ap", "verify"]]
+    argv for argv in OTHERS if argv[0] not in ("ap", "zeta")
+    or argv[:2] == ["ap", "verify"]]
 
-# The commands run on each cache state: the bits route, the numpy route
-# and verify.
+# The commands run on each cache state.
 CACHE_RUNS = CACHED + [["list", "--count", "3"], ["census", "--max", "20"],
+                       ["density", "--checkpoints", "3,8"],
+                       ["nonassoc", "--rank", "3"],
                        ["verify", "--suite", "lemma4"],
                        ["verify", "--suite", "all"],
                        ["bertrand", "--from", "1", "--to", "14"],

@@ -38,7 +38,6 @@ THEOREMS = "src/sploop/theorems.py"
 CLI = "src/sploop/cli.py"
 VERIFY = "src/sploop/verify.py"
 RECORD = "src/sploop/record.py"
-ANALYTICS = "src/sploop/analytics.py"
 
 ACCEPTANCE = "tests/test_acceptance.py::test_criterion_0"
 SPCORE_TESTS = "tests/test_spcore.py::"
@@ -50,6 +49,7 @@ RECORD_TESTS = "tests/test_records.py::"
 GAP_TESTS = "tests/test_gap_kernels.py::"
 TRIPLES = "tests/test_theorems.py::TestEqualTriples::"
 VERIFY_TESTS = "tests/test_verify.py::"
+ANALYTICS_TESTS = "tests/test_analytics.py::"
 
 # (name, file, old text, new text, test node ids that must fail)
 MUTANTS = [
@@ -152,8 +152,11 @@ MUTANTS = [
      "[hi] * (hi - lo)", "[hi] * (hi - lo + 1)",
      [LOOP_TESTS + "TestNonAssociativity::test_prefix_route_matches_the_oracles"]),
     ("loop: witness search reads N(b • c) for the right side", LOOP,
-     "right = successors[np.abs(m[i] - t)]", "right = t",
+     "!= successors[abs(a - bc)]", "!= bc",
      [LOOP_TESTS + "TestNonAssociativity::test_prefix_route_matches_the_oracles"]),
+    ("loop: witness search skips the first SP with 1", LOOP,
+     "rest = members[1:]", "rest = members[2:]",
+     [LOOP_TESTS + "TestNonAssociativity::test_bits_route_matches_the_oracle"]),
     ("sieve: flags listed one number high", SIEVE,
      "np.add(hits, lo, out=", "np.add(hits, lo + 1, out=",
      [SIEVE_TESTS + "TestOneObject::test_from_sieve_returns_the_sieve_with_its_members_listed"]),
@@ -179,7 +182,7 @@ MUTANTS = [
      "for k in range(math.isqrt(limit // 2), 1, -1):",
      [CACHEFILE + "test_pure_payload_keeps_members_on_several_strides"]),
     ("cli: crossover with <", CLI,
-     "bits and args.limit <= PURE_BUILD_MAX", "bits and args.limit < PURE_BUILD_MAX",
+     "args.limit <= PURE_BUILD_MAX", "args.limit < PURE_BUILD_MAX",
      [CLI_TESTS + "TestCachedPointRoute::test_the_crossover_picks_the_route"]),
     # Records as tuples, record gaps found block by block, and the digit
     # census without np.bincount.
@@ -197,9 +200,9 @@ MUTANTS = [
     ("qindex: record block restarts one early", SIEVE,
      "start + i + 1", "start + i",
      [GAP_TESTS + "test_record_gaps_at_block_edges"]),
-    ("analytics: digit census counts range(9)", ANALYTICS,
-     "for d in range(10)}", "for d in range(9)}",
-     ["tests/test_analytics.py::TestDigitCensus::test_census_at_117"]),
+    ("qindex: digit census counts range(9)", SIEVE,
+     "for d in range(10)]", "for d in range(9)]",
+     [ANALYTICS_TESTS + "TestDigitCensus::test_census_at_117"]),
     # The doubling scan walks the record gaps, the repeats come from one
     # primitive, and theorem4 walks the members to the first twin pair.
     # (``w = b - a`` is left out: it finds the same gap again and loops.)
@@ -218,13 +221,10 @@ MUTANTS = [
      [CLI_TESTS + "TestVerifySuites::"
       "test_theorem4_max_below_the_first_twin_is_a_usage_error"]),
     # Q from one acquisition function, and the suites' options passed on.
-    ("cli: the acquisition saves over a fresh cache", CLI,
-     "if args.cache and not fresh:", "if args.cache:",
-     [CLI_TESTS + "TestDeterminismAndCache::test_cache_trimmed_for_smaller_limit"]),
-    ("cli: a numpy command takes the bits route", CLI,
-     "if fresh and bits:", "if fresh:",
+    ("cli: a cache at exactly the limit is rebuilt and saved over", CLI,
+     "if limit >= args.limit:", "if limit > args.limit:",
      [CLI_TESTS + "TestDeterminismAndCache::"
-      "test_verbose_numpy_command_on_a_cache_notes_the_build[1000]"]),
+      "test_verbose_cached_gap_run_notes_only_the_load[1000]"]),
     ("cli: _cmd_verify drops one option", CLI,
      "t_max=args.t_max, q_max=args.q_max,", "t_max=args.t_max,",
      [CLI_TESTS + "TestVerifySuites::"
@@ -258,6 +258,17 @@ MUTANTS = [
     ("qbits: records walked again from 1", QBITS,
      "lo, hi = records[-1] if records else (1, 1)", "lo, hi = 1, 1",
      [CACHEFILE + "test_record_gaps_are_walked_once"]),
+    # The digit census counted off the bits as one int.
+    ("qbits: digit census mask one bit off", QBITS,
+     r'b"\x01\x04\x10\x40\x00"', r'b"\x01\x04\x10\x80\x00"',
+     [ANALYTICS_TESTS + "TestDigitCensusOnBits::test_every_limit_of_one_view"]),
+    ("qbits: digit census cuts the bits below the limit", QBITS,
+     "bits[-1] &= (2 << (limit & 7)) - 1\n        bits = int",
+     "bits[-1] &= (1 << (limit & 7)) - 1\n        bits = int",
+     [ANALYTICS_TESTS + "TestDigitCensusOnBits::test_every_limit_of_one_view"]),
+    ("qbits: digit census mask one period short", QBITS,
+     "limit // 40 + 1", "limit // 40",
+     [ANALYTICS_TESTS + "TestDigitCensusOnBits::test_every_limit_of_one_view"]),
 ]
 
 
