@@ -9,9 +9,10 @@ the checks; ``SpSieve`` packs the payload with numpy (its load checks the
 file, then builds), and ``build_payload`` builds it from byte slices.
 ``QBits``, the only reader of the bits, answers every CLI command from
 them without importing numpy: the point questions, the counts by final
-digit, the gap query behind fixed points, SP-free runs and the doubling
-scan, the pairs at a gap, and the rank prefix. Its checks and errors are
-the ``front`` module's, shared with ``QIndex``; ``QBits`` reads the
+digit, the first gap at least w wide from a member, the pairs at a gap,
+and the rank prefix. Its checks and errors, and the record-gap walk
+behind fixed points, SP-free runs and the doubling scan, are the
+``front`` module's, shared with ``QIndex``; ``QBits`` reads the
 primitives that module lists off the bits.
 """
 
@@ -128,14 +129,13 @@ class QBits(QFront):
     built at a larger limit is cut to this limit.
     """
 
-    __slots__ = ("_bits", "_records")
+    __slots__ = ("_bits",)
 
     def __init__(self, limit: int, payload):
+        super().__init__(limit)
         bits = bytearray(payload[: payload_size(limit)])
         bits[-1] &= (2 << (limit & 7)) - 1  # no member past the limit
-        self.limit = limit
         self._bits = bits
-        self._records = []  # the record gaps behind ``first_gap``
 
     def save(self, path) -> None:
         """Write the v1 cache file of Q up to this limit."""
@@ -199,30 +199,6 @@ class QBits(QFront):
     def _prefix(self, r: int) -> list[int]:
         return [1, *islice(self._sps(), r)]
 
-    def first_gap(self, w: int) -> tuple[int, int] | None:
-        """The first consecutive members (lo, hi) of Q with hi - lo >= w,
-        1 included, or None when no gap is that wide.
-
-        That gap is a record gap: it is wider than every gap before it.
-        The records are found in order, each from the upper end of the
-        last one, and kept, as ``QIndex._record_gaps`` keeps its own, so a
-        later call walks on from the widest record found so far and never
-        again from 1. ``None`` closes the list once the bits hold no wider
-        gap.
-        """
-        records = self._records
-        for gap in records:
-            if gap is None or gap[1] - gap[0] >= w:
-                return gap
-        lo, hi = records[-1] if records else (1, 1)
-        while (gap := self._gap_from(hi, hi - lo + 1)) is not None:
-            records.append(gap)
-            lo, hi = gap
-            if hi - lo >= w:
-                return gap
-        records.append(None)
-        return None
-
     def _gap_from(self, start: int, w: int) -> tuple[int, int] | None:
         """The first consecutive members (lo, hi) with start <= lo and
         hi - lo >= w, for a member start, or None when there is none.
@@ -257,9 +233,10 @@ class QBits(QFront):
             at = (hi >> 3) + 1  # the next run of zero bytes starts past hi
         return None
 
-    def _pairs(self, g: int, limit: int) -> list[tuple[int, int]]:
+    def _pair_ends(self, g: int, limit: int) -> tuple[list[int], list[int]]:
         sps = takewhile(limit.__ge__, self._sps())
-        return [(lo, hi) for lo, hi in pairwise(sps) if hi - lo == g]
+        lo = [a for a, b in pairwise(sps) if b - a == g]
+        return lo, [a + g for a in lo]
 
     def _digit_counts(self, limit: int) -> list[int]:
         bits = self._bits[: payload_size(limit)]

@@ -10,14 +10,20 @@ checks pass, with arguments in the ranges below:
 - ``_next(n)``: the least member of Q >= n, for any n >= 1, or None;
 - ``_prev(x)``: the largest member of Q < x, for 2 <= x <= limit + 1;
 - ``_has(x)``: membership in Q, for 1 <= x <= limit;
-- ``_pairs(g, limit)``: the consecutive SP pairs at gap g >= 1 up to
-  limit <= the index's limit, as (lo, hi) tuples;
+- ``_gap_from(start, w)``: the first consecutive members (lo, hi) with
+  lo >= start and hi - lo >= w, or None, for a member start and w >= 0;
+- ``_pair_ends(g, limit)``: the lower and the upper members of the
+  consecutive SP pairs at gap g >= 1 up to limit <= the index's limit,
+  as two lists;
 - ``_prefix(r)``: the rank-r prefix, once the r-th SP number exists;
 - ``_digit_counts(limit)``: the counts of SP numbers <= limit by final
   digit 0..9, as a list, for 0 <= limit <= the index's limit;
 - ``_repeats()``: the values listed more than once, which ``theorems``'
-  adjacency and twin-shift checks read;
-- ``first_gap(w)``, which takes any w and so needs no check.
+  adjacency and twin-shift checks read.
+
+``first_gap(w)``, the gap query behind fixed points, SP-free runs and the
+doubling scan, takes any w and so needs no check; the front walks Q's
+record gaps for it with ``_gap_from`` and keeps them.
 """
 
 from __future__ import annotations
@@ -30,7 +36,11 @@ class QFront:
     """Q up to ``limit``, asked through checked queries; a subclass supplies
     the primitives the module docstring lists."""
 
-    __slots__ = ("limit",)
+    __slots__ = ("limit", "_records")
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self._records = []  # the record gaps behind ``first_gap``
 
     def _check_cover(self, n: int) -> None:
         """Refuse n above the limit with a CapacityError, ``required=n``."""
@@ -121,4 +131,28 @@ class QFront:
         """All consecutive SP pairs (lo, hi) with hi - lo = g and hi <= limit,
         ascending."""
         self._check_gap(g, limit)
-        return self._pairs(g, limit)
+        return list(zip(*self._pair_ends(g, limit)))
+
+    def first_gap(self, w: int) -> tuple[int, int] | None:
+        """The first consecutive members (lo, hi) of Q with hi - lo >= w,
+        1 included, or None when no gap is that wide.
+
+        That gap is a record gap: it is wider than every gap before it.
+        The records are found in order, each from the upper end of the
+        last one, and kept, so a later call walks on from the widest
+        record found so far and never again from 1. The walk starts with
+        width 0 from 1, as an index that lists 1 twice has a first record
+        of width 0. ``None`` closes the list once Q holds no wider gap.
+        """
+        records = self._records
+        for gap in records:
+            if gap is None or gap[1] - gap[0] >= w:
+                return gap
+        lo, hi = records[-1] if records else (2, 1)
+        while (gap := self._gap_from(hi, hi - lo + 1)) is not None:
+            records.append(gap)
+            lo, hi = gap
+            if hi - lo >= w:
+                return gap
+        records.append(None)
+        return None

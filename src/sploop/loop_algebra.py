@@ -14,11 +14,13 @@ boundary instead of being wrapped in a dedicated element type.
 
 Fixed points and SP-free runs are read off one gap query that every index
 answers: ``first_gap(w)``, the first consecutive members (lo, hi) of Q
-with hi - lo >= w, where 1 counts as a member. ``QIndex`` answers it from
-its record gaps and the numpy-free ``cachefile.QBits`` from a cache file's
-bits. Both take ``contains`` and ``successor``, with their checks and
-errors, from the one query front in ``front``, so ``lop``, ``fixed_point``
-and ``find_gap_run`` run on either and fail on either alike.
+with hi - lo >= w, where 1 counts as a member. The one query front in
+``front`` answers it by a walk over Q's record gaps, and takes each from
+one primitive of the index: ``QIndex`` scans its gaps a block at a time,
+and the numpy-free ``cachefile.QBits`` a cache file's bits. ``contains``
+and ``successor``, with their checks and errors, come from the same
+front, so ``lop``, ``fixed_point`` and ``find_gap_run`` run on either and
+fail on either alike.
 The table, the non-associativity search and
 ``theorems.search_equal_triple`` need N only below a rank prefix's top
 member, and the prefix's own gaps give it: N(x) is the upper member of the

@@ -3,9 +3,11 @@
 ``QIndex`` holds Q, 1 followed by every SP <= limit in ascending order,
 from construction, and answers counts, N(x) and the other order queries
 from that array.
-The queries, their checks and errors live in the ``front`` module, shared
-with the numpy-free ``cachefile.QBits``; ``QIndex`` supplies the
-primitives it lists, each a ``searchsorted`` or a slice of the members.
+The queries, their checks and errors, and the walk over Q's record gaps
+behind ``first_gap``, live in the ``front`` module, shared with the
+numpy-free ``cachefile.QBits``; ``QIndex`` supplies the primitives it
+lists, each a ``searchsorted``, a slice of the members, or for
+``_gap_from`` a scan of their gaps a block at a time.
 No other module indexes the members or their gaps: they ask the front,
 or a ``QIndex`` primitive such as ``_sp_gaps`` or ``_repeats``.
 ``SpSieve`` is a ``QIndex`` made by the sieve or read from the cache: it
@@ -52,7 +54,7 @@ DEFAULT_MEMORY_BUDGET = 4 << 30
 _SLICE = 1 << 17  # numbers per slice when listing or packing the members
 _SCATTER = 1 << 13  # members per fancy-index write when making the flags
 _BLOCK = 1 << 20  # wheel flags per block of the base prime sieve
-_RECORD_BLOCK = 1 << 14  # gaps per block when finding the record gaps
+_RECORD_BLOCK = 1 << 14  # gaps per block when looking for a gap w wide
 
 
 def _member_dtype(limit: int) -> type:
@@ -142,19 +144,17 @@ def _estimate_build_bytes(limit: int) -> int:
 
 class QIndex(QFront):
     """Sorted members of Q, held in ``elements`` from construction, and the
-    ``front`` module's primitives over them. ``gaps`` and the record gaps
-    behind ``first_gap`` are computed on first use and kept: a caller that
-    never asks a gap question never pays their memory (as many bytes per
-    element as the members).
+    ``front`` module's primitives over them. ``gaps`` is computed on
+    first use and kept: a caller that never asks a gap question never pays
+    its memory (as many bytes per element as the members).
     """
 
-    __slots__ = ("elements", "_gaps", "_records")
+    __slots__ = ("elements", "_gaps")
 
     def __init__(self, limit: int, elements: np.ndarray):
-        self.limit = limit
+        super().__init__(limit)
         self.elements = elements
         self._gaps = None
-        self._records = None
 
     @staticmethod
     def from_sieve(sieve: SpSieve) -> QIndex:
@@ -192,40 +192,23 @@ class QIndex(QFront):
             self._gaps = np.diff(self.elements)
         return self._gaps
 
-    def _record_gaps(self) -> tuple[np.ndarray, np.ndarray]:
-        """Positions where the running maximum of ``gaps`` rises, and the
-        gaps there, which strictly increase. The first i with gaps[i] >= w
-        is always one of these positions.
+    def _gap_from(self, start: int, w: int) -> tuple[int, int] | None:
+        """The first consecutive members (lo, hi) with start <= lo and
+        hi - lo >= w, or None when there is none.
 
-        A block of ``_RECORD_BLOCK`` gaps whose maximum does not beat the
-        widest gap so far is skipped; in one that does, each step finds the
-        next record as the first gap that beats the last. So there is one
-        step per record (28 at 1e8), and no running maximum of all gaps."""
-        if self._records is None:
-            gaps, where, best = self.gaps, [], -1
-            for start in range(0, gaps.size, _RECORD_BLOCK):
-                block = gaps[start : start + _RECORD_BLOCK]
-                while block.size and block.max() > best:
-                    i = int((block > best).argmax())
-                    best = int(block[i])
-                    where.append(start + i)
-                    start, block = start + i + 1, block[i + 1 :]
-            where = np.array(where, dtype=np.intp)
-            self._records = (where, gaps[where])
-        return self._records
-
-    def first_gap(self, w: int) -> tuple[int, int] | None:
-        """The first consecutive members (lo, hi) with hi - lo >= w, or None
-        when no gap is that wide."""
-        where, widths = self._record_gaps()
-        k = _rank(widths, w)
-        if k == where.size:
-            return None
-        i, elements = int(where[k]), self.elements
-        return int(elements[i]), int(elements[i + 1])
-
-    def _pairs(self, g: int, limit: int) -> list[tuple[int, int]]:
-        return list(zip(*self._pair_ends(g, limit)))
+        ``gaps`` is read from the rank of start a block of
+        ``_RECORD_BLOCK`` at a time: a block whose maximum is below w is
+        skipped, and in the first one that reaches it the gap is the first
+        at least w wide. The front's record walk asks this once per record
+        gap (28 at 1e8) and once past the widest, and no running maximum
+        of all gaps is made."""
+        elements, gaps = self.elements, self.gaps
+        for at in range(_rank(elements, start), gaps.size, _RECORD_BLOCK):
+            block = gaps[at : at + _RECORD_BLOCK]
+            if block.max() >= w:
+                i = at + int((block >= w).argmax())
+                return int(elements[i]), int(elements[i + 1])
+        return None
 
     def _pair_ends(self, g: int, limit: int) -> tuple[list[int], list[int]]:
         """The lower and the upper members of the pairs ``gap_pairs`` lists,

@@ -11,14 +11,13 @@ counterexample or report absence over the whole range.
 The range scans ask the index about its gaps and never read its members.
 N(n) is constant on each gap [a, b) of consecutive members, so the
 doubling property fails there exactly for the n with b >= 2n, which only
-a gap at least a wide leaves: the scan reads the record gaps behind
-``first_gap``. N(t) and N(t+1) are more than one step of Q apart only
+a gap at least a wide leaves: the scan reads the record gaps that the
+front walks for ``first_gap``. N(t) and N(t+1) are more than one step of Q apart only
 where t + 1 is listed twice, so adjacency and the twin shift (adjacency at
 t = a - x) read the index's repeated values, ``_repeats``.
 ``tests/_oracles.py`` keeps the per-integer scans these replace. Nothing
 here imports numpy, so every check runs on a ``QIndex`` and on a
-``cachefile.QBits`` alike; only ``gap_pairs`` reads a ``QIndex``
-primitive, ``_pair_ends``.
+``cachefile.QBits`` alike.
 """
 
 from __future__ import annotations

@@ -172,7 +172,8 @@ def test_gap_queries_on_drawn_bits(seed):
 @pytest.mark.parametrize("seed", range(40))
 def test_gap_queries_in_any_order_on_one_bits_view(seed):
     # Each query finds or reuses the record gaps that the ones before it
-    # left, wide and narrow ones in turn.
+    # left, wide and narrow ones in turn, on the bits and on an index, and
+    # answers as the first gap of the members at least that wide.
     rng = random.Random(seed)
     limit = rng.randint(8, 3000)
     density = rng.choice([0.005, 0.02, 0.05, 0.2])
@@ -183,27 +184,33 @@ def test_gap_queries_in_any_order_on_one_bits_view(seed):
     bits = cachefile.QBits(limit, payload)
     index = QIndex(limit, np.array([1] + members, dtype=np.int64))
     widest = int(index.gaps.max()) if members else 0
+    gaps = list(zip([1] + members, members))
     for w in rng.choices(range(-1, widest + 3), k=3 * widest + 10):
-        assert bits.first_gap(w) == index.first_gap(w), w
+        want = next(((lo, hi) for lo, hi in gaps if hi - lo >= w), None)
+        assert bits.first_gap(w) == index.first_gap(w) == want, w
 
 
-def test_record_gaps_are_walked_once(monkeypatch):
-    bits = cachefile.QBits(10**4, cachefile.build_payload(10**4))
+@pytest.mark.parametrize("provider", ["bits", "index"])
+def test_record_gaps_are_walked_once(monkeypatch, provider):
+    if provider == "bits":
+        q = cachefile.QBits(10**4, cachefile.build_payload(10**4))
+    else:
+        q = build_sieve(10**4)  # a fresh index, that has walked no record
     walks = []
-    gap_from = cachefile.QBits._gap_from
+    gap_from = type(q)._gap_from
 
     def counted(self, start, w):
         walks.append(start)
         return gap_from(self, start, w)
 
-    monkeypatch.setattr(cachefile.QBits, "_gap_from", counted)
-    assert widest_gap(bits) == (7325, 7376)
+    monkeypatch.setattr(type(q), "_gap_from", counted)
+    assert widest_gap(q) == (7325, 7376)
     # One walk per record gap and one that finds no wider gap, each from
     # the upper end of the record before it.
     assert walks[0] == 1 and len(walks) == len(set(walks))
     walked = len(walks)
     for w in (0, 9, 51, 52, 30, 12):
-        bits.first_gap(w)
+        q.first_gap(w)
     assert len(walks) == walked
 
 

@@ -113,11 +113,17 @@ def test_first_gap_at_least_at_1e5(index_1e5):
 
 
 def assert_record_gaps(index):
-    where, widths = index._record_gaps()
-    want_where, want_widths = record_gaps_slow(index.gaps)
-    assert where.tolist() == want_where.tolist()
-    assert widths.tolist() == want_widths.tolist()
-    assert widths.dtype == index.gaps.dtype
+    """The record gaps the front walks, asked for one width past the
+    widest, against one running maximum of all the gaps; returns their
+    positions in ``gaps``."""
+    e = index.elements
+    widest = int(index.gaps.max()) if index.gaps.size else -1
+    assert index.first_gap(widest + 1) is None
+    *records, end = index._records
+    assert end is None
+    where, _ = record_gaps_slow(index.gaps)
+    assert records == [(int(e[i]), int(e[i + 1])) for i in where.tolist()]
+    assert all(type(x) is int for gap in records for x in gap)
     return where.tolist()
 
 
@@ -131,22 +137,23 @@ B = _RECORD_BLOCK
 
 
 def test_record_gaps_at_block_edges():
+    # Each record is looked for in blocks from the gap after the last one.
     gaps = [2] * (4 * B)
-    gaps[B - 1] = 5  # the last position of the first block
-    gaps[B] = 6  # the first of the second
-    gaps[B + 7] = 7  # and a second record in the same block
-    gaps[2 * B - 1] = 9  # the last of the second block
-    gaps[3 * B + 11] = 9  # the third block's maximum only ties it
-    gaps[3 * B + 12] = 8  # below the best, past a tie
+    gaps[B] = 3  # the last gap of the block from 1, exactly as wide as asked
+    gaps[2 * B + 1] = 4  # the first of the block after the one from B + 1
+    gaps[2 * B + 5] = 6  # and a second record in that same block
+    gaps[3 * B + 5] = 9  # the last of the block from 2 * B + 6
+    gaps[3 * B + 20] = 9  # the last block's maximum only ties it
+    gaps[3 * B + 21] = 8  # below the best, past a tie
     assert assert_record_gaps(index_with_gaps(gaps)) == \
-        [0, B - 1, B, B + 7, 2 * B - 1]
+        [0, B, 2 * B + 1, 2 * B + 5, 3 * B + 5]
 
 
 def test_record_gaps_after_a_tying_block():
     gaps = [1] * (3 * B)
     gaps[5] = 4
-    gaps[B + 3] = 4  # the second block only ties the first: skipped
-    gaps[2 * B] = 4  # the third is searched, and steps over its tie
+    gaps[B + 3] = 4  # the block from 6 only ties the record: skipped
+    gaps[2 * B] = 4  # the next is searched, and steps over its tie
     gaps[2 * B + 1] = 5  # to the record right after it
     assert assert_record_gaps(index_with_gaps(gaps)) == [0, 5, 2 * B + 1]
 
@@ -234,6 +241,15 @@ def test_bertrand_walk_on_bits_answers_as_the_index(indexes):
             if lo <= hi:
                 assert scan_bertrand(bits, lo, hi) == \
                     scan_bertrand(index, lo, hi), (index.limit, lo)
+
+
+def test_gap_pairs_on_bits_answers_as_the_index(indexes):
+    payload = cachefile.build_payload(TOP)
+    for index in indexes:
+        bits = cachefile.QBits(index.limit, payload)
+        for g in (1, 2, 4, 9):
+            assert gap_pairs(bits, g, index.limit) == \
+                gap_pairs(index, g, index.limit), (index.limit, g)
 
 
 @st.composite

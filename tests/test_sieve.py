@@ -403,7 +403,7 @@ class TestQFirst:
 
     def test_point_queries_never_copy_the_members(self, index_1e7):
         q = index_1e7
-        q.first_gap(1)  # makes the gaps and their records, kept
+        q.first_gap(1)  # makes the gaps, kept, and walks the first records
         calls = {
             "successor": (q.limit // 2,),
             "predecessor": (q.limit + 1,),

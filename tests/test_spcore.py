@@ -69,6 +69,12 @@ class TestFactorize:
         assert factorize(101 * 103) == {101: 1, 103: 1}
         assert factorize(99991 * 99989) == {99989: 1, 99991: 1}
 
+    def test_refuses_n_below_1(self):
+        with pytest.raises(DomainError) as exc:
+            factorize(0)
+        assert type(exc.value) is DomainError
+        assert str(exc.value) == "factorization needs n >= 1, got 0"
+
     @given(st.integers(min_value=1, max_value=10**9))
     @settings(max_examples=200)
     def test_roundtrip(self, n):
@@ -156,6 +162,12 @@ class TestSplitRoute:
     def test_designed_cases(self):
         for n in _designed_cases():
             assert sp_decompose(n) == sp_decompose_by_factorize(n), n
+
+    def test_refuses_a_negative_n(self):
+        with pytest.raises(DomainError) as exc:
+            is_sp(-1)
+        assert type(exc.value) is DomainError
+        assert str(exc.value) == "SP membership is defined for n >= 0, got -1"
 
     def test_past_2_64_as_before(self):
         assert not is_sp(2**64)

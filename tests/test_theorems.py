@@ -395,3 +395,16 @@ class TestTwinShift:
         twins = gap_pairs(index_1e4, 1, 10**4)
         assert all(p.hi == p.lo + 1 for p in twins)
         assert len(twins) > 0
+
+
+@pytest.mark.parametrize("scan, message", [
+    (lambda q: search_equal_triple(q, -1), "need rank r >= 0, got -1"),
+    (lambda q: scan_bertrand(q, 5, 4), "need hi >= lo, got [5, 4]"),
+    (lambda q: check_adjacency(q, -1), "need t_max >= 0, got -1"),
+], ids=["search_equal_triple", "scan_bertrand", "check_adjacency"])
+def test_scans_refuse_arguments_below_their_domain(index_117, scan, message):
+    for q in (index_117, cachefile.QBits(117, cachefile.build_payload(117))):
+        with pytest.raises(DomainError) as exc:
+            scan(q)
+        assert type(exc.value) is DomainError
+        assert str(exc.value) == message

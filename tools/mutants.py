@@ -184,7 +184,7 @@ MUTANTS = [
     ("cli: crossover with <", CLI,
      "args.limit <= PURE_BUILD_MAX", "args.limit < PURE_BUILD_MAX",
      [CLI_TESTS + "TestCachedPointRoute::test_the_crossover_picks_the_route"]),
-    # Records as tuples, record gaps found block by block, and the digit
+    # Records as tuples, a gap w wide found block by block, and the digit
     # census without np.bincount.
     ("record: __eq__ defers to the other class", RECORD,
      "return other.__class__ is self.__class__ and tuple.__eq__(self, other)",
@@ -194,11 +194,15 @@ MUTANTS = [
     ("loop: CayleyTable without __ne__", LOOP,
      "    __ne__ = object.__ne__\n", "",
      [RECORD_TESTS + "test_cayley_tables_differ_by_identity_in_both_operators"]),
-    ("qindex: record block test with >=", SIEVE,
-     "block.max() > best", "block.max() >= best",
+    ("qindex: record block test with >", SIEVE,
+     "block.max() >= w", "block.max() > w",
      [GAP_TESTS + "test_record_gaps_at_block_edges"]),
-    ("qindex: record block restarts one early", SIEVE,
-     "start + i + 1", "start + i",
+    ("qindex: record block starts one gap late", SIEVE,
+     "range(_rank(elements, start), gaps.size",
+     "range(_rank(elements, start) + 1, gaps.size",
+     [GAP_TESTS + "test_record_gaps_at_block_edges"]),
+    ("qindex: record block drops its last gap", SIEVE,
+     "gaps[at : at + _RECORD_BLOCK]", "gaps[at : at + _RECORD_BLOCK - 1]",
      [GAP_TESTS + "test_record_gaps_at_block_edges"]),
     ("qindex: digit census counts range(9)", SIEVE,
      "for d in range(10)]", "for d in range(9)]",
@@ -230,7 +234,8 @@ MUTANTS = [
      [CLI_TESTS + "TestVerifySuites::"
       "test_theorem1_q_max_past_the_limit_takes_every_member"]),
     # The read-only checks on the bits: the triple search and the axioms
-    # over lists, and the record gaps that QBits keeps.
+    # over lists, the record gaps that the front walks and keeps, and the
+    # pairs at a gap.
     ("theorems: triple runs cut to two values", THEOREMS,
      "end = bisect_right(row, value, x + 2)", "end = x + 2",
      [TRIPLES + "test_agrees_with_the_table_scan_on_drawn_member_lists"]),
@@ -252,12 +257,18 @@ MUTANTS = [
      "max(row[:i], default=a) <= a\n        and ", "",
      [VERIFY_TESTS + "test_each_axiom_check_fails_on_its_broken_entry"
       "[bound-below-only]"]),
-    ("qbits: next record one wider than needed", QBITS,
+    ("front: next record one wider than needed", FRONT,
      "self._gap_from(hi, hi - lo + 1)", "self._gap_from(hi, hi - lo + 2)",
      [CACHEFILE + "test_gap_queries_in_any_order_on_one_bits_view"]),
-    ("qbits: records walked again from 1", QBITS,
-     "lo, hi = records[-1] if records else (1, 1)", "lo, hi = 1, 1",
+    ("front: records walked again from 1", FRONT,
+     "lo, hi = records[-1] if records else (2, 1)", "lo, hi = 2, 1",
      [CACHEFILE + "test_record_gaps_are_walked_once"]),
+    ("front: the record walk starts at width 1", FRONT,
+     "else (2, 1)", "else (1, 1)",
+     [GAP_TESTS + "test_drawn_arrays_with_a_repeat"]),
+    ("qbits: pair ends without the gap", QBITS,
+     "return lo, [a + g for a in lo]", "return lo, [a + 1 for a in lo]",
+     [GAP_TESTS + "test_gap_pairs_on_bits_answers_as_the_index"]),
     # The digit census counted off the bits as one int.
     ("qbits: digit census mask one bit off", QBITS,
      r'b"\x01\x04\x10\x40\x00"', r'b"\x01\x04\x10\x80\x00"',
