@@ -6,7 +6,8 @@ All logarithms are natural logarithms. The density comparison is a trend
 check: the ratio sp_count(n) * ln(n) / n drifts toward zeta(2) - 1 but the
 second-order term keeps the constant itself out of reach at desk scale,
 so only the shrinking of the absolute error across decades is asserted.
-Only ``gap_histogram`` imports numpy, when called.
+The module imports no numpy; ``gap_histogram`` reads a ``QIndex``
+primitive, which does.
 """
 
 from __future__ import annotations
@@ -105,8 +106,5 @@ def digit_census(index: QIndex, limit: int) -> DigitCensus:
 
 def gap_histogram(index: QIndex, limit: int) -> dict[int, int]:
     """Counts of consecutive-SP gaps among SP numbers <= limit."""
-    import numpy as np
-
     index._check_range(limit)
-    counts = np.bincount(index._sp_gaps(limit))
-    return {int(g): int(counts[g]) for g in np.flatnonzero(counts)}
+    return index._gap_counts(limit)

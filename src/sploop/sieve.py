@@ -6,10 +6,10 @@ from that array.
 The queries, their checks and errors, and the walk over Q's record gaps
 behind ``first_gap``, live in the ``front`` module, shared with the
 numpy-free ``cachefile.QBits``; ``QIndex`` supplies the primitives it
-lists, each a ``searchsorted``, a slice of the members, or for
-``_gap_from`` a scan of their gaps a block at a time.
+lists, each a ``searchsorted``, a slice of the members, or a scan of the
+members or their gaps one block of ``_GAP_BLOCK`` at a time.
 No other module indexes the members or their gaps: they ask the front,
-or a ``QIndex`` primitive such as ``_sp_gaps`` or ``_repeats``.
+or a ``QIndex`` primitive such as ``_gap_counts`` or ``_repeats``.
 ``SpSieve`` is a ``QIndex`` made by the sieve or read from the cache: it
 adds the flag per number, ``is_sp`` and the cache file. ``build_sieve``
 and ``load_cache`` return one; no second object is needed to query it.
@@ -29,11 +29,11 @@ the file and then builds Q to that limit, which costs less than decoding
 the bits.
 
 Memory cost: 4 bytes per SP for the sorted members while limit < 2**32
-(8 past it), and as much again for their gaps once a gap question is
-asked. A build also holds the primes <= limit/4 (4 bytes each) and, while
-it sieves them, one byte per number prime to 6 up to limit/4, about
-limit/12 bytes. A save holds the file's one bit per number, and so does a
-load until its build returns.
+(8 past it); a scan of their gaps holds one block of them at a time, and
+no gap array is kept. A build also holds the primes <= limit/4 (4 bytes
+each) and, while it sieves them, one byte per number prime to 6 up to
+limit/4, about limit/12 bytes. A save holds the file's one bit per
+number, and so does a load until its build returns.
 The flags, if asked for, take one byte per number in [0, limit]. A 10**8
 build holds 18 MB of members, peaks near 25 MB and takes 12.5 MB on disk;
 its flags would take 100 MB more.
@@ -54,7 +54,7 @@ DEFAULT_MEMORY_BUDGET = 4 << 30
 _SLICE = 1 << 17  # numbers per slice when listing or packing the members
 _SCATTER = 1 << 13  # members per fancy-index write when making the flags
 _BLOCK = 1 << 20  # wheel flags per block of the base prime sieve
-_RECORD_BLOCK = 1 << 14  # gaps per block when looking for a gap w wide
+_GAP_BLOCK = 1 << 16  # gaps or members per block of a scan over Q
 
 
 def _member_dtype(limit: int) -> type:
@@ -144,17 +144,17 @@ def _estimate_build_bytes(limit: int) -> int:
 
 class QIndex(QFront):
     """Sorted members of Q, held in ``elements`` from construction, and the
-    ``front`` module's primitives over them. ``gaps`` is computed on
-    first use and kept: a caller that never asks a gap question never pays
-    its memory (as many bytes per element as the members).
+    ``front`` module's primitives over them. Every scan of the gaps reads
+    ``_gap_blocks``, one block of ``_GAP_BLOCK`` gaps at a time, so no
+    array of all the gaps is made or kept: at 1e8 that array would take
+    18 MB beside the members, and making it cost more than the scans.
     """
 
-    __slots__ = ("elements", "_gaps")
+    __slots__ = ("elements",)
 
     def __init__(self, limit: int, elements: np.ndarray):
         super().__init__(limit)
         self.elements = elements
-        self._gaps = None
 
     @staticmethod
     def from_sieve(sieve: SpSieve) -> QIndex:
@@ -187,49 +187,74 @@ class QIndex(QFront):
 
     @property
     def gaps(self) -> np.ndarray:
-        """``np.diff(elements)``: gaps[i] = elements[i+1] - elements[i]."""
-        if self._gaps is None:
-            self._gaps = np.diff(self.elements)
-        return self._gaps
+        """``np.diff(elements)``, made afresh on each call: gaps[i] =
+        elements[i+1] - elements[i]. The gap scans never make it; they
+        read ``_gap_blocks``."""
+        return np.diff(self.elements)
+
+    def _gap_blocks(self, lo: int = 0, hi: int | None = None):
+        """The gaps between ``elements[lo:hi]``, ``_GAP_BLOCK`` of them at
+        a time, as (i, gaps[i : i + _GAP_BLOCK]) for ascending i: each block
+        is made from the members it spans, so no array larger than a block
+        is made."""
+        elements = self.elements[lo:hi]
+        for i in range(0, elements.size - 1, _GAP_BLOCK):
+            yield lo + i, np.diff(elements[i : i + _GAP_BLOCK + 1])
 
     def _gap_from(self, start: int, w: int) -> tuple[int, int] | None:
         """The first consecutive members (lo, hi) with start <= lo and
         hi - lo >= w, or None when there is none.
 
-        ``gaps`` is read from the rank of start a block of
-        ``_RECORD_BLOCK`` at a time: a block whose maximum is below w is
-        skipped, and in the first one that reaches it the gap is the first
-        at least w wide. The front's record walk asks this once per record
-        gap (28 at 1e8) and once past the widest, and no running maximum
-        of all gaps is made."""
-        elements, gaps = self.elements, self.gaps
-        for at in range(_rank(elements, start), gaps.size, _RECORD_BLOCK):
-            block = gaps[at : at + _RECORD_BLOCK]
+        The gaps are read from the rank of start a block at a time: a block
+        whose maximum is below w is skipped, and in the first one that
+        reaches it the gap is the first at least w wide. The front's record
+        walk asks this once per record gap (28 at 1e8) and once past the
+        widest, and no running maximum of all gaps is made."""
+        elements = self.elements
+        for i, block in self._gap_blocks(_rank(elements, start)):
             if block.max() >= w:
-                i = at + int((block >= w).argmax())
+                i += int((block >= w).argmax())
                 return int(elements[i]), int(elements[i + 1])
         return None
 
     def _pair_ends(self, g: int, limit: int) -> tuple[list[int], list[int]]:
         """The lower and the upper members of the pairs ``gap_pairs`` lists,
         for arguments that ``_check_gap`` passed."""
-        elements = self.elements
-        hits = 1 + np.flatnonzero(self._sp_gaps(limit) == g)
-        return elements[hits].tolist(), elements[hits + 1].tolist()
+        elements, lo, hi = self.elements, [], []
+        for i, block in self._gap_blocks(1, self._count(limit) + 1):
+            hits = i + np.flatnonzero(block == g)
+            lo += elements[hits].tolist()
+            hi += elements[hits + 1].tolist()
+        return lo, hi
+
+    def _gap_counts(self, limit: int) -> dict[int, int]:
+        """Counts of the gaps between consecutive SP numbers <= limit, by
+        width: one ``np.bincount`` per block, summed."""
+        counts = np.zeros(0, dtype=np.intp)
+        for _, block in self._gap_blocks(1, self._count(limit) + 1):
+            part = np.bincount(block)
+            if part.size > counts.size:  # a gap wider than any before
+                part[: counts.size] += counts
+                counts = part
+            else:
+                counts[: part.size] += part
+        return {int(g): int(counts[g]) for g in np.flatnonzero(counts)}
 
     def _digit_counts(self, limit: int) -> list[int]:
-        # One byte per digit: np.bincount would cast the residues to intp.
-        digits = (self.elements[1 : self._count(limit) + 1] % 10).astype(np.uint8)
-        return [int(np.count_nonzero(digits == d)) for d in range(10)]
-
-    def _sp_gaps(self, limit: int) -> np.ndarray:
-        """The gaps between consecutive SP numbers <= limit, ``gaps[1:k]``
-        for k of them: entry i leads from ``elements[i + 1]``."""
-        return self.gaps[1 : self._count(limit)]
+        # x - x // 10 * 10, as numpy's % takes about 4 times as long.
+        sps = self.elements[1 : self._count(limit) + 1]
+        counts = np.zeros(10, dtype=np.intp)
+        for i in range(0, sps.size, _GAP_BLOCK):
+            x = sps[i : i + _GAP_BLOCK]
+            counts += np.bincount(x - x // 10 * 10, minlength=10)
+        return counts.tolist()
 
     def _repeats(self) -> list[int]:
         """Values listed more than once, ascending, once per extra listing."""
-        return self.elements[:-1][self.gaps == 0].tolist()
+        elements, repeated = self.elements, []
+        for i, block in self._gap_blocks():
+            repeated += elements[i + np.flatnonzero(block == 0)].tolist()
+        return repeated
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -26,10 +26,12 @@ from _oracles import (
 from sploop import (
     CapacityError,
     QIndex,
+    SpPair,
     build_sieve,
     cachefile,
     check_adjacency,
     check_twin_shift,
+    digit_census,
     find_gap_run,
     fixed_point,
     gap_histogram,
@@ -37,7 +39,7 @@ from sploop import (
     scan_bertrand,
 )
 from sploop.loop_algebra import widest_gap
-from sploop.sieve import _RECORD_BLOCK
+from sploop.sieve import _GAP_BLOCK
 
 TOP = 2000
 
@@ -133,7 +135,7 @@ def index_with_gaps(gaps: list[int]) -> QIndex:
     return QIndex(int(elements[-1]), elements)
 
 
-B = _RECORD_BLOCK
+B = _GAP_BLOCK
 
 
 def test_record_gaps_at_block_edges():
@@ -173,8 +175,85 @@ def test_record_gaps_with_at_most_one_gap(limit, size):
 
 
 def test_record_gaps_at_1e7(index_1e7):
-    assert index_1e7.gaps.size > 33 * B  # the gaps span 34 blocks
-    assert len(assert_record_gaps(index_1e7)) == 24
+    assert index_1e7.gaps.size > 8 * B  # the gaps span 9 blocks
+    where = assert_record_gaps(index_1e7)
+    assert len(where) == 24
+    assert len({i // B for i in where}) == 6  # found in six of the blocks
+
+
+# Gap positions on both sides of the first block edges, and the last gap.
+# The kernels over SP numbers start their blocks at gap 1, one past the
+# others, so B + 2 is the second gap of their second block.
+EDGES = [B - 1, B, B + 1, B + 2, 2 * B + 6]
+EDGE_IDS = ["B-1", "B", "B+1", "B+2", "last"]
+
+
+def edge_index(at: int, run: list[int]) -> QIndex:
+    """1 and the running sums of 2B + 7 gaps of 10, but for the gaps run,
+    the last of which is gap at. Its limit, the last member, lies inside
+    the third block."""
+    gaps = [10] * (2 * B + 7)
+    gaps[at + 1 - len(run) : at + 1] = run
+    return index_with_gaps(gaps)
+
+
+def edge_bounds(index: QIndex, at: int) -> list[int]:
+    """Bounds that cut Q inside a block: before the run that ends at gap
+    at, inside it, at the run's last gap's ends, and at the limit."""
+    e = index.elements
+    return sorted({int(e[at - 5]), int(e[at]), int(e[at + 1]) - 1,
+                   int(e[at + 1]), index.limit})
+
+
+@pytest.mark.parametrize("at", EDGES, ids=EDGE_IDS)
+def test_gap_pairs_at_a_block_edge(at):
+    index = edge_index(at, [3])
+    e = index.elements
+    assert gap_pairs(index, 3, index.limit) == \
+        [SpPair(lo=int(e[at]), hi=int(e[at + 1]), gap=3)]
+    for bound in edge_bounds(index, at):
+        for g in (3, 10):
+            assert [(p.lo, p.hi) for p in gap_pairs(index, g, bound)] == \
+                gap_pairs_slow(e, g, bound), (bound, g)
+
+
+@pytest.mark.parametrize("at", EDGES, ids=EDGE_IDS)
+def test_a_repeat_at_a_block_edge(at):
+    index = edge_index(at, [0])
+    e = index.elements
+    value = int(e[at])
+    assert index._repeats() == [value]
+    for t_max in (value - 2, value - 1, index.max_element - 2):
+        if t_max + 1 < index.max_element:
+            assert check_adjacency(index, t_max) == \
+                adjacency_violation_slow(e, t_max), t_max
+
+
+@pytest.mark.parametrize("at", EDGES, ids=EDGE_IDS)
+def test_the_widest_gap_at_a_block_edge(at):
+    index = edge_index(at, [50])
+    e = index.elements
+    assert index.first_gap(50) == (int(e[at]), int(e[at + 1]))
+    assert assert_record_gaps(index) == [0, at]
+    for bound in edge_bounds(index, at):
+        assert gap_histogram(index, bound) == gap_histogram_slow(e, bound), bound
+
+
+@pytest.mark.parametrize("at", EDGES, ids=EDGE_IDS)
+def test_every_final_digit_at_a_block_edge(at):
+    # Ten gaps of 1 make eleven consecutive members, which end in every digit.
+    index = edge_index(at, [1] * 10)
+    sps = index.elements[1:]
+    for bound in edge_bounds(index, at):
+        counts = np.bincount(sps[sps <= bound] % 10, minlength=10)
+        assert digit_census(index, bound).counts == dict(enumerate(counts.tolist()))
+
+
+@pytest.mark.parametrize("g", [2**32 + 1, 2**70])
+def test_gap_pairs_wider_than_any_member(g, indexes):
+    bits = cachefile.QBits(TOP, cachefile.build_payload(TOP))
+    assert gap_pairs(indexes[-1], g, TOP) == []
+    assert gap_pairs(bits, g, TOP) == []
 
 
 def test_violation_witnesses():

@@ -185,7 +185,7 @@ MUTANTS = [
      "args.limit <= PURE_BUILD_MAX", "args.limit < PURE_BUILD_MAX",
      [CLI_TESTS + "TestCachedPointRoute::test_the_crossover_picks_the_route"]),
     # Records as tuples, a gap w wide found block by block, and the digit
-    # census without np.bincount.
+    # census one np.bincount per block of members.
     ("record: __eq__ defers to the other class", RECORD,
      "return other.__class__ is self.__class__ and tuple.__eq__(self, other)",
      "return (tuple.__eq__(self, other) if other.__class__ is self.__class__\n"
@@ -198,15 +198,29 @@ MUTANTS = [
      "block.max() >= w", "block.max() > w",
      [GAP_TESTS + "test_record_gaps_at_block_edges"]),
     ("qindex: record block starts one gap late", SIEVE,
-     "range(_rank(elements, start), gaps.size",
-     "range(_rank(elements, start) + 1, gaps.size",
+     "self._gap_blocks(_rank(elements, start))",
+     "self._gap_blocks(_rank(elements, start) + 1)",
      [GAP_TESTS + "test_record_gaps_at_block_edges"]),
     ("qindex: record block drops its last gap", SIEVE,
-     "gaps[at : at + _RECORD_BLOCK]", "gaps[at : at + _RECORD_BLOCK - 1]",
+     "(block >= w).argmax()", "(block[:-1] >= w).argmax()",
      [GAP_TESTS + "test_record_gaps_at_block_edges"]),
     ("qindex: digit census counts range(9)", SIEVE,
-     "for d in range(10)]", "for d in range(9)]",
+     "return counts.tolist()", "return counts[:9].tolist()",
      [ANALYTICS_TESTS + "TestDigitCensus::test_census_at_117"]),
+    # Every QIndex gap kernel reads the gaps a block at a time.
+    ("qindex: gap blocks drop the gap across each edge", SIEVE,
+     "elements[i : i + _GAP_BLOCK + 1]", "elements[i : i + _GAP_BLOCK]",
+     [GAP_TESTS + "test_the_widest_gap_at_a_block_edge[B-1]"]),
+    ("qindex: gap histogram drops its counts at a wider gap", SIEVE,
+     "part[: counts.size] += counts\n", "",
+     [GAP_TESTS + "test_the_widest_gap_at_a_block_edge[B+2]"]),
+    ("qindex: pair ends one gap late in each block", SIEVE,
+     "hits = i + np.flatnonzero(block == g)",
+     "hits = i + 1 + np.flatnonzero(block == g)",
+     [GAP_TESTS + "test_gap_pairs_at_a_block_edge[B]"]),
+    ("qindex: digit census blocks drop their last member", SIEVE,
+     "x = sps[i : i + _GAP_BLOCK]", "x = sps[i : i + _GAP_BLOCK - 1]",
+     [GAP_TESTS + "test_every_final_digit_at_a_block_edge[B+1]"]),
     # The doubling scan walks the record gaps, the repeats come from one
     # primitive, and theorem4 walks the members to the first twin pair.
     # (``w = b - a`` is left out: it finds the same gap again and loops.)
@@ -217,7 +231,7 @@ MUTANTS = [
      "        w = b\n", "        w = b + 1\n",
      [GAP_TESTS + "test_bertrand_walk_on_chosen_gaps[as-wide-as-its-lower-end]"]),
     ("qindex: _repeats reads gaps of 1", SIEVE,
-     "[self.gaps == 0]", "[self.gaps == 1]",
+     "block == 0", "block == 1",
      [GAP_TESTS + "test_a_value_listed_three_times"]),
     ("verify: theorem4 twin walk stops one member early", VERIFY,
      "while first is not None and first - lo > 1:",
@@ -269,16 +283,19 @@ MUTANTS = [
     ("qbits: pair ends without the gap", QBITS,
      "return lo, [a + g for a in lo]", "return lo, [a + 1 for a in lo]",
      [GAP_TESTS + "test_gap_pairs_on_bits_answers_as_the_index"]),
-    # The digit census counted off the bits as one int.
+    # The digit census counted off the bits, five planes of bytes as ints.
     ("qbits: digit census mask one bit off", QBITS,
-     r'b"\x01\x04\x10\x40\x00"', r'b"\x01\x04\x10\x80\x00"',
+     r'b"\x01" * ((len(bits)', r'b"\x02" * ((len(bits)',
+     [ANALYTICS_TESTS + "TestDigitCensusOnBits::test_every_limit_of_one_view"]),
+    ("qbits: digit census plane digit one off", QBITS,
+     "counts[(8 * r + j) % 10]", "counts[(8 * r + j + 1) % 10]",
      [ANALYTICS_TESTS + "TestDigitCensusOnBits::test_every_limit_of_one_view"]),
     ("qbits: digit census cuts the bits below the limit", QBITS,
-     "bits[-1] &= (2 << (limit & 7)) - 1\n        bits = int",
-     "bits[-1] &= (1 << (limit & 7)) - 1\n        bits = int",
+     "bits[-1] &= (2 << (limit & 7)) - 1  # no member past the limit\n        # Byte",
+     "bits[-1] &= (1 << (limit & 7)) - 1  # no member past the limit\n        # Byte",
      [ANALYTICS_TESTS + "TestDigitCensusOnBits::test_every_limit_of_one_view"]),
-    ("qbits: digit census mask one period short", QBITS,
-     "limit // 40 + 1", "limit // 40",
+    ("qbits: digit census mask one byte short", QBITS,
+     "(len(bits) + 4) // 5", "len(bits) // 5",
      [ANALYTICS_TESTS + "TestDigitCensusOnBits::test_every_limit_of_one_view"]),
 ]
 
